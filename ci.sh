@@ -22,6 +22,13 @@ cargo build --release --workspace
 step "cargo test"
 cargo test --workspace -q
 
+step "benchmark package tests (every workload at smoke size through the CLI)"
+# The perfbench package is a workspace of its own, so the workspace test
+# run above skips it. Its tests replay each workload end to end and check
+# the golden kernel records (detection digest, clocks) and the result
+# line against BENCHMARK.json — pinning, among others, the mintpg stream.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step "cargo doc (deny warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

@@ -1,47 +1,47 @@
 //! The paper's novel TPG as a pluggable pattern source.
 //!
-//! [`MinTpgSource`] wraps a [`TpgSimulator`] behind
-//! [`bibs_faultsim::source::PatternSource`], so the hardware-faithful
-//! generator the paper builds (Procedures SC_TPG/MC_TPG, optionally
-//! degree-minimized by [`crate::mintpg::minimize_degree`]) can drive the
+//! [`MinTpgSource`] puts the hardware-faithful generator the paper builds
+//! (Procedures SC_TPG/MC_TPG, optionally degree-minimized by
+//! [`crate::mintpg::minimize_degree`]) behind
+//! [`bibs_faultsim::source::PatternSource`], so it can drive the
 //! fault-simulation engines directly — the coverage-vs-clocks axis the
 //! BIBS methodology is about, measured with the same drivers as every
 //! other source.
 //!
 //! The emitted stream is exactly the session stream of
-//! [`crate::session::session_patterns`] (which is now a thin collector
-//! over this source): warm-up shifts that fill the TPG's extension
-//! flip-flops (charged to the clock budget, emitting nothing), the
-//! `2^M − 1` aligned cone views of the maximal sequence, and the
-//! appended all-zero pattern — the complete-LFSR remedy (ref \[15\]).
+//! [`crate::session::session_patterns`] (which is a thin collector over
+//! this source): warm-up shifts that fill the TPG's extension flip-flops
+//! (charged to the clock budget, emitting nothing), the `2^M − 1`
+//! aligned cone views of the maximal sequence, and the appended all-zero
+//! pattern — the complete-LFSR remedy (ref \[15\]).
+//!
+//! The TPG is a type-1 LFSR, so the signal on label `ℓ` at time `t` is
+//! the stage-1 stream delayed `ℓ − first_lfsr_label` clocks, past the
+//! LFSR end too. Each cone input is one such delay, and the blocks come
+//! word-parallel from [`LfsrSource::with_delays`]; the cycle-accurate
+//! [`crate::tpg::TpgSimulator`] stays the independent reference.
 
 use crate::structure::GeneralizedStructure;
-use crate::tpg::{TpgDesign, TpgSimulator};
-use bibs_faultsim::source::{PatternBlock, PatternSource, SourceDescriptor, StreamDigest};
+use crate::tpg::TpgDesign;
+use bibs_faultsim::source::{LfsrSource, PatternBlock, PatternSource, SourceDescriptor};
+use bibs_lfsr::fsr::{Lfsr, LfsrKind};
 
 /// A [`PatternSource`] emitting one full functionally-exhaustive session
 /// of the paper's TPG for a single-cone kernel.
 #[derive(Debug)]
 pub struct MinTpgSource {
-    sim: TpgSimulator,
+    stream: LfsrSource,
     structure_name: String,
     width: usize,
-    degree: u32,
-    polynomial: String,
     warmup: u64,
-    /// Patterns still to come from the maximal sequence.
-    period_left: u64,
-    zero_pending: bool,
-    emitted: u64,
-    clocks: u64,
-    digest: StreamDigest,
 }
 
 impl MinTpgSource {
-    /// Builds the source for a designed TPG: constructs the cycle-accurate
-    /// simulator and performs the warm-up shifts
-    /// (`flip_flop_count + sequential_depth` cycles, charged to
-    /// [`clocks_consumed`] before the first pattern).
+    /// Builds the source for a designed TPG: seeds its LFSR with
+    /// `00…01` and its extension flip-flops with zero, as
+    /// [`TpgSimulator::new`](crate::tpg::TpgSimulator::new) does, then
+    /// performs the warm-up shifts (`flip_flop_count + sequential_depth`
+    /// cycles, charged to [`clocks_consumed`] before the first pattern).
     ///
     /// [`clocks_consumed`]: PatternSource::clocks_consumed
     ///
@@ -65,84 +65,56 @@ impl MinTpgSource {
                 design.lfsr_degree()
             ));
         }
-        let polynomial = design
+        let poly = design
             .polynomial()
-            .ok_or_else(|| format!("no polynomial for degree {}", design.lfsr_degree()))?
-            .to_string();
-        let mut sim = TpgSimulator::new(design);
+            .ok_or_else(|| format!("no polynomial for degree {}", design.lfsr_degree()))?;
+        let delays = design
+            .cone_offsets(0)
+            .into_iter()
+            .map(|o| {
+                usize::try_from(o - design.first_lfsr_label())
+                    .expect("cone offsets start at or after the first LFSR label")
+            })
+            .collect();
+        let seed = Lfsr::new(poly, LfsrKind::Type1).state_u64();
+        let width = structure.total_width() as usize;
         let warmup = design.flip_flop_count() as u64 + structure.sequential_depth() as u64;
-        for _ in 0..warmup {
-            sim.step();
-        }
         Ok(MinTpgSource {
-            sim,
+            stream: LfsrSource::with_delays(poly, seed, delays, width).warmed_up(warmup),
             structure_name: structure.name.clone(),
-            width: structure.total_width() as usize,
-            degree: design.lfsr_degree(),
-            polynomial,
+            width,
             warmup,
-            period_left: (1u64 << design.lfsr_degree()) - 1,
-            zero_pending: true,
-            emitted: 0,
-            clocks: warmup,
-            digest: StreamDigest::default(),
         })
     }
 
     /// The designed LFSR degree `M`.
     pub fn degree(&self) -> u32 {
-        self.degree
+        self.stream.polynomial().degree()
     }
 }
 
 impl PatternSource for MinTpgSource {
     fn next_block(&mut self, width: usize) -> Option<PatternBlock> {
-        assert_eq!(width, self.width, "source width mismatch");
-        if self.period_left == 0 && !self.zero_pending {
-            return None;
-        }
-        let mut words = vec![0u64; width];
-        let mut lanes = 0usize;
-        while lanes < 64 && self.period_left > 0 {
-            for (i, bit) in self.sim.cone_view(0).iter().enumerate() {
-                if bit {
-                    words[i] |= 1u64 << lanes;
-                }
-            }
-            self.sim.step();
-            self.period_left -= 1;
-            self.clocks += 1;
-            lanes += 1;
-        }
-        if lanes < 64 && self.period_left == 0 && self.zero_pending {
-            // The appended all-zero pattern: its lane is already zero.
-            self.zero_pending = false;
-            self.clocks += 1;
-            lanes += 1;
-        }
-        let block = PatternBlock { words, lanes };
-        self.emitted += lanes as u64;
-        self.digest.absorb_block(&block);
-        Some(block)
+        self.stream.next_block(width)
     }
 
     fn clocks_consumed(&self) -> u64 {
-        self.clocks
+        self.stream.clocks_consumed()
     }
 
     fn patterns_emitted(&self) -> u64 {
-        self.emitted
+        self.stream.patterns_emitted()
     }
 
     fn state_digest(&self) -> u64 {
-        self.digest.value()
+        self.stream.state_digest()
     }
 
     fn descriptor(&self) -> SourceDescriptor {
         SourceDescriptor::new("mintpg")
             .field("structure", self.structure_name.clone())
-            .field("polynomial", self.polynomial.clone())
-            .field("degree", self.degree.to_string())
+            .field("polynomial", self.stream.polynomial().to_string())
+            .field("degree", self.degree().to_string())
             .field("width", self.width.to_string())
             .field("warmup", self.warmup.to_string())
     }
@@ -151,7 +123,8 @@ impl PatternSource for MinTpgSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tpg::sc_tpg;
+    use crate::tpg::{sc_tpg, TpgSimulator};
+    use bibs_faultsim::source::StreamDigest;
 
     fn adder_structure() -> (GeneralizedStructure, TpgDesign) {
         let s = GeneralizedStructure::single_cone("add", &[("Ra", 3, 0), ("Rb", 3, 0)]);
@@ -159,35 +132,138 @@ mod tests {
         (s, design)
     }
 
+    /// Example 5's two-cone kernel (Figure 17), shrunk by
+    /// `minimize_degree` from degree 9 to 8, and the single-cone
+    /// structure of its first cone. SC_TPG windows are contiguous, so
+    /// the solver cannot shrink a single-cone design; a shrunk TPG is
+    /// driven through one cone of a multi-cone design instead. That
+    /// cone's offsets run past the shrunk LFSR's end into the
+    /// extension history.
+    fn shrunk_example5_first_cone() -> (GeneralizedStructure, TpgDesign) {
+        use crate::structure::{Cone, ConeDep, TpgRegister};
+        let regs = vec![
+            TpgRegister {
+                name: "R1".into(),
+                width: 4,
+            },
+            TpgRegister {
+                name: "R2".into(),
+                width: 4,
+            },
+        ];
+        let cone = |name: &str, d1: u32| Cone {
+            name: name.into(),
+            deps: vec![
+                ConeDep {
+                    register: 0,
+                    seq_len: d1,
+                },
+                ConeDep {
+                    register: 1,
+                    seq_len: 0,
+                },
+            ],
+        };
+        let two =
+            GeneralizedStructure::new("ex5", regs.clone(), vec![cone("O1", 2), cone("O2", 1)])
+                .unwrap();
+        let shrunk = crate::mintpg::minimize_degree(&crate::tpg::mc_tpg(&two), 40);
+        assert!(shrunk.design.lfsr_degree() < shrunk.original_degree);
+        let first = GeneralizedStructure::new("ex5-O1", regs, vec![cone("O1", 2)]).unwrap();
+        (first, shrunk.design)
+    }
+
+    /// A single cone that reads only the first of two registers: the
+    /// cone view fills the low inputs and the undriven ones read zero.
+    fn undriven_register() -> (GeneralizedStructure, TpgDesign) {
+        use crate::structure::{Cone, ConeDep, TpgRegister};
+        let regs = vec![
+            TpgRegister {
+                name: "R1".into(),
+                width: 4,
+            },
+            TpgRegister {
+                name: "R2".into(),
+                width: 3,
+            },
+        ];
+        let cone = Cone {
+            name: "O".into(),
+            deps: vec![ConeDep {
+                register: 0,
+                seq_len: 1,
+            }],
+        };
+        let s = GeneralizedStructure::new("undriven", regs, vec![cone]).unwrap();
+        let design = sc_tpg(&s);
+        (s, design)
+    }
+
     #[test]
     fn tpg_source_matches_raw_simulator_stream_exactly() {
         // Independent reconstruction with a raw TpgSimulator — the
-        // pre-source session loop — pins that the source emits the same
-        // warm-up/cone-view/all-zero stream. (`session_patterns` itself
-        // is a collector over this source, so it can't be the oracle.)
-        let (s, design) = adder_structure();
-        let width = s.total_width() as usize;
-        let mut sim = TpgSimulator::new(&design);
-        for _ in 0..design.flip_flop_count() + s.sequential_depth() as usize {
-            sim.step();
-        }
-        let mut expected: Vec<Vec<bool>> = Vec::new();
-        for _ in 0..(1u64 << design.lfsr_degree()) - 1 {
-            expected.push(sim.cone_view(0).iter().collect());
-            sim.step();
-        }
-        expected.push(vec![false; width]);
+        // cycle-accurate reference — pins the warm-up/cone-view/all-zero
+        // stream, its clocks, count and digest on every TPG shape the
+        // window kernel must get right. (`session_patterns` itself is a
+        // collector over this source, so it can't be the oracle.)
+        let single = |name: &str, regs: &[(&str, u32, u32)]| {
+            let s = GeneralizedStructure::single_cone(name, regs);
+            let design = sc_tpg(&s);
+            (s, design)
+        };
+        let cases = [
+            adder_structure(),
+            single("ex2", &[("R1", 4, 2), ("R2", 4, 1), ("R3", 4, 0)]),
+            single("ex3-shared", &[("R1", 4, 1), ("R2", 4, 2), ("R3", 4, 0)]),
+            single("ex4-label0", &[("R1", 4, 0), ("R2", 4, 5)]),
+            single("plain", &[("R", 8, 0)]),
+            single("deg5", &[("Ra", 2, 1), ("Rb", 3, 0)]),
+            shrunk_example5_first_cone(),
+            undriven_register(),
+        ];
+        let mut read_history = false;
+        for (s, design) in &cases {
+            let name = &s.name;
+            let width = s.total_width() as usize;
+            let warmup = design.flip_flop_count() as u64 + s.sequential_depth() as u64;
+            let lfsr_end = design.first_lfsr_label() + design.lfsr_degree() as i64 - 1;
+            read_history |= design.cone_offsets(0).iter().any(|&o| o > lfsr_end);
 
-        let mut src = MinTpgSource::new(&design, &s).unwrap();
-        let mut got = Vec::new();
-        while let Some(block) = src.next_block(width) {
-            for lane in 0..block.lanes {
-                got.push(block.pattern(lane));
+            let mut sim = TpgSimulator::new(design);
+            for _ in 0..warmup {
+                sim.step();
             }
+            let mut expected: Vec<Vec<bool>> = Vec::new();
+            for _ in 0..(1u64 << design.lfsr_degree()) - 1 {
+                let mut pattern: Vec<bool> = sim.cone_view(0).iter().collect();
+                pattern.resize(width, false);
+                expected.push(pattern);
+                sim.step();
+            }
+            expected.push(vec![false; width]);
+            let mut digest = StreamDigest::default();
+            for chunk in expected.chunks(64) {
+                digest.absorb_block(&PatternBlock::from_patterns(chunk, width));
+            }
+
+            let mut src = MinTpgSource::new(design, s).unwrap();
+            let mut got = Vec::new();
+            while let Some(block) = src.next_block(width) {
+                for lane in 0..block.lanes {
+                    got.push(block.pattern(lane));
+                }
+            }
+            assert!(got == expected, "{name}: stream differs from TpgSimulator");
+            assert_eq!(src.patterns_emitted(), expected.len() as u64, "{name}");
+            assert_eq!(
+                src.clocks_consumed(),
+                warmup + expected.len() as u64,
+                "{name}"
+            );
+            assert_eq!(src.state_digest(), digest.value(), "{name}");
+            assert_eq!(got, crate::session::session_patterns(design, s), "{name}");
         }
-        assert_eq!(got, expected);
-        assert_eq!(src.patterns_emitted(), expected.len() as u64);
-        assert_eq!(got, crate::session::session_patterns(&design, &s));
+        assert!(read_history, "some case must read the extension history");
     }
 
     #[test]

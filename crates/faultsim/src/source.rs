@@ -38,7 +38,7 @@
 //! [`StoredSeedReplay`] (committed reseeding schedules). The paper's own
 //! TPG lives in `bibs_core::source::MinTpgSource`, behind the same trait.
 
-use bibs_lfsr::fsr::{Lfsr, LfsrKind};
+use bibs_lfsr::fsr::{DelayedWindows, Lfsr, LfsrKind};
 use bibs_lfsr::poly::{primitive_polynomial, Polynomial};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -382,9 +382,16 @@ impl PatternSource for ExhaustiveSource {
 /// stages `1..=width`, one shift per clock, over the full `2^M − 1`
 /// period, followed by the single all-zero pattern a plain maximal LFSR
 /// cannot produce — the paper's complete-LFSR remedy (ref \[15\]).
+///
+/// Blocks come from the word-parallel [`DelayedWindows`] kernel: stage
+/// `i + 1` is the stage-1 stream delayed `i` clocks.
+/// [`LfsrSource::with_delays`] generalizes the outputs to any delays, so
+/// the paper's TPG (an LFSR with shift-register extension) emits through
+/// the same source.
 #[derive(Debug)]
 pub struct LfsrSource {
-    lfsr: Lfsr,
+    poly: Polynomial,
+    windows: DelayedWindows,
     width: usize,
     seed: u64,
     warmup: u64,
@@ -428,33 +435,43 @@ impl LfsrSource {
     /// Panics if `width` is 0 or exceeds the polynomial degree, or the
     /// degree exceeds 64.
     pub fn with_polynomial(poly: &Polynomial, width: usize, seed: u64) -> Self {
+        assert!(
+            (1..=poly.degree() as usize).contains(&width),
+            "pattern width must be 1..=degree"
+        );
+        Self::with_delays(poly, seed, (0..width).collect(), width)
+    }
+
+    /// An LFSR source of `width` inputs whose input `i` is the stage-1
+    /// stream delayed `delays[i]` clocks: stage `delays[i] + 1` while the
+    /// delay is below the degree, else a shift-register extension after
+    /// the last stage that starts all-zero, as after reset. Inputs from
+    /// `delays.len()` up are not driven and read zero. Seeding and the
+    /// period are as for [`with_polynomial`](Self::with_polynomial).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or below `delays.len()`, or the degree
+    /// exceeds 64.
+    pub fn with_delays(poly: &Polynomial, seed: u64, delays: Vec<usize>, width: usize) -> Self {
         let degree = poly.degree();
         assert!(degree <= 64, "LFSR source degree capped at 64");
         assert!(
-            (1..=degree as usize).contains(&width),
-            "pattern width must be 1..=degree"
+            width >= delays.len().max(1),
+            "width must cover the delays and be nonzero"
         );
-        let mask = if degree == 64 {
-            !0u64
-        } else {
-            (1u64 << degree) - 1
-        };
-        let mut state = seed & mask;
+        let mut state = seed & (u64::MAX >> (64 - degree));
         if state == 0 {
             state = 1;
         }
         let lfsr = Lfsr::with_seed_u64(poly, LfsrKind::Type1, state);
-        let period_left = if degree == 64 {
-            u64::MAX
-        } else {
-            (1u64 << degree) - 1
-        };
         LfsrSource {
-            lfsr,
+            poly: poly.clone(),
             width,
+            windows: DelayedWindows::new(&lfsr, delays),
             seed: state,
             warmup: 0,
-            period_left,
+            period_left: u64::MAX >> (64 - degree),
             zero_pending: true,
             emitted: 0,
             clocks: 0,
@@ -468,9 +485,7 @@ impl LfsrSource {
     ///
     /// [`clocks_consumed`]: PatternSource::clocks_consumed
     pub fn warmed_up(mut self, steps: u64) -> Self {
-        for _ in 0..steps {
-            self.lfsr.step();
-        }
+        self.windows.advance(steps);
         self.warmup += steps;
         self.clocks += steps;
         self
@@ -478,7 +493,7 @@ impl LfsrSource {
 
     /// The characteristic polynomial driving this source.
     pub fn polynomial(&self) -> &Polynomial {
-        self.lfsr.polynomial()
+        &self.poly
     }
 }
 
@@ -488,27 +503,18 @@ impl PatternSource for LfsrSource {
         if self.period_left == 0 && !self.zero_pending {
             return None;
         }
-        let mut words = vec![0u64; width];
-        let mut lanes = 0usize;
-        while lanes < 64 && self.period_left > 0 {
-            for (i, w) in words.iter_mut().enumerate() {
-                if self.lfsr.stage(i + 1) {
-                    *w |= 1u64 << lanes;
-                }
-            }
-            self.lfsr.step();
-            self.period_left -= 1;
-            self.clocks += 1;
-            lanes += 1;
-        }
+        let mut lanes = self.period_left.min(64) as usize;
+        let mut words = self.windows.next_words(lanes);
+        words.resize(width, 0);
+        self.period_left -= lanes as u64;
         if lanes < 64 && self.period_left == 0 && self.zero_pending {
             // The appended all-zero pattern: its lane is already zero.
             self.zero_pending = false;
-            self.clocks += 1;
             lanes += 1;
         }
         debug_assert!(lanes > 0);
         let block = PatternBlock { words, lanes };
+        self.clocks += lanes as u64;
         self.emitted += lanes as u64;
         self.digest.absorb_block(&block);
         Some(block)
@@ -920,6 +926,54 @@ mod tests {
         // A seed whose low `degree` bits truncate to zero is nudged too.
         let src = LfsrSource::new(4, 1 << 40).unwrap();
         assert_eq!(src.descriptor().get("seed"), Some("0x1"));
+    }
+
+    #[test]
+    fn lfsr_source_matches_raw_lfsr_steps() {
+        // Input i of every pattern is stage i+1 of a raw type-1 Lfsr
+        // stepped once per pattern: every table degree up to 64 (whose
+        // period counter is u64::MAX), widths below the degree, and
+        // warm-ups that are not a multiple of 64. Degrees up to 10 run
+        // the whole period into the all-zero lane.
+        let seed = 0x9E37_79B9_7F4A_7C15u64;
+        for degree in 2u32..=64 {
+            let poly = primitive_polynomial(degree).expect("table covers 2..=64");
+            let d = degree as usize;
+            let period = u64::MAX >> (64 - degree);
+            for (width, warmup) in [(d, 0u64), (d.div_ceil(2), 0), (1, 3), (d, 100)] {
+                let case = format!("degree {degree} width {width} warmup {warmup}");
+                let mut src = LfsrSource::with_polynomial(&poly, width, seed).warmed_up(warmup);
+                let mut raw = Lfsr::with_seed_u64(&poly, LfsrKind::Type1, (seed & period).max(1));
+                for _ in 0..warmup {
+                    raw.step();
+                }
+                let total = if degree <= 10 { period + 1 } else { 200 };
+                let mut digest = StreamDigest::default();
+                let mut pulled = 0u64;
+                while pulled < total {
+                    let block = src.next_block(width).expect("period not over");
+                    let mut expected = Vec::new();
+                    for _ in 0..block.lanes {
+                        if pulled == period {
+                            expected.push(vec![false; width]);
+                        } else {
+                            expected.push((1..=width).map(|i| raw.stage(i)).collect());
+                            raw.step();
+                        }
+                        pulled += 1;
+                    }
+                    let want = PatternBlock::from_patterns(&expected, width);
+                    assert_eq!(block, want, "{case}");
+                    digest.absorb_block(&want);
+                }
+                if degree <= 10 {
+                    assert_eq!(src.next_block(width), None, "{case}");
+                }
+                assert_eq!(src.patterns_emitted(), pulled, "{case}");
+                assert_eq!(src.clocks_consumed(), warmup + pulled, "{case}");
+                assert_eq!(src.state_digest(), digest.value(), "{case}");
+            }
+        }
     }
 
     #[test]

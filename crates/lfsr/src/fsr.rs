@@ -350,6 +350,149 @@ impl ShiftRegister {
     }
 }
 
+/// Word-parallel outputs of a type-1 LFSR string, 64 clocks at a time.
+///
+/// In a type-1 LFSR, stage `k` at time `t` carries `s1(t − (k − 1))`,
+/// the stage-1 stream delayed `k − 1` clocks, and a plain shift-register
+/// extension clocked after the last stage continues the same stream. Any
+/// flip-flop of such a string — the paper's TPG, or the low stages of a
+/// plain LFSR — is therefore a *delay* `d` of one sequence, and `n`
+/// consecutive clocks of it are the window `s1[t − d .. t − d + n)`.
+///
+/// The kernel advances `s1` one bit per clock in a `u64` state, writes
+/// the bits into a packed buffer holding the last `max(d) + 64` values,
+/// and extracts each output word with a two-word shift — instead of
+/// stepping a bit vector and reading every output once per pattern.
+///
+/// # Example
+///
+/// ```
+/// use bibs_lfsr::fsr::{DelayedWindows, Lfsr, LfsrKind};
+/// use bibs_lfsr::poly::primitive_polynomial;
+///
+/// let p = primitive_polynomial(5).expect("in table");
+/// let mut lfsr = Lfsr::new(&p, LfsrKind::Type1);
+/// // Outputs: stages 1 and 3.
+/// let mut win = DelayedWindows::new(&lfsr, vec![0, 2]);
+/// let words = win.next_words(64);
+/// for lane in 0..64 {
+///     assert_eq!(words[0] >> lane & 1 == 1, lfsr.stage(1));
+///     assert_eq!(words[1] >> lane & 1 == 1, lfsr.stage(3));
+///     lfsr.step();
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct DelayedWindows {
+    /// Type-1 tap mask (bit `i` set ⇒ stage `i+1` feeds back).
+    taps: u64,
+    /// Stage `k` at bit `k−1`: `s1(t), s1(t−1), …, s1(t−degree+1)`. Bits
+    /// past the last stage are never tapped or read.
+    state: u64,
+    delays: Vec<usize>,
+    max_delay: usize,
+    /// Bit `j` is `s1(t − max_delay + j)` for `j < max_delay`; every bit
+    /// from `max_delay` up is zero between calls.
+    window: Vec<u64>,
+}
+
+impl DelayedWindows {
+    /// Starts at the LFSR's current state. Output `i` is the stage-1
+    /// stream delayed `delays[i]` clocks; delays past the last stage
+    /// read a shift-register extension that starts all-zero, as after
+    /// reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the LFSR is not type 1, or wider than 64 stages.
+    pub fn new(lfsr: &Lfsr, delays: Vec<usize>) -> Self {
+        assert_eq!(lfsr.kind(), LfsrKind::Type1, "delayed windows need type 1");
+        let degree = lfsr.width();
+        assert!(degree <= 64, "delayed windows need degree ≤ 64");
+        let state = lfsr.state_u64();
+        let max_delay = delays.iter().copied().max().unwrap_or(0);
+        let mut window = vec![0u64; max_delay / 64 + 2];
+        for d in 1..=max_delay.min(degree - 1) {
+            if state >> d & 1 == 1 {
+                let j = max_delay - d;
+                window[j / 64] |= 1 << (j % 64);
+            }
+        }
+        DelayedWindows {
+            taps: lfsr.mask.to_u64(),
+            state,
+            delays,
+            max_delay,
+            window,
+        }
+    }
+
+    /// Advances `clocks` cycles without emitting.
+    pub fn advance(&mut self, mut clocks: u64) {
+        while clocks > 0 {
+            let n = clocks.min(64) as usize;
+            self.push(n);
+            self.drop_front(n);
+            clocks -= n as u64;
+        }
+    }
+
+    /// Emits the next `lanes` clocks of every output and advances that
+    /// many clocks: word `i` carries output `i`, lane `l` its value `l`
+    /// clocks from now; lanes from `lanes` up are zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` exceeds 64.
+    pub fn next_words(&mut self, lanes: usize) -> Vec<u64> {
+        assert!(lanes <= 64, "at most 64 lanes per block");
+        self.push(lanes);
+        let live = u64::MAX.checked_shr(64 - lanes as u32).unwrap_or(0);
+        let words = self
+            .delays
+            .iter()
+            .map(|&d| self.read(self.max_delay - d) & live)
+            .collect();
+        self.drop_front(lanes);
+        words
+    }
+
+    /// Clocks the LFSR `n ≤ 64` times, appending `s1(t) … s1(t+n−1)` at
+    /// bit `max_delay` of the window.
+    fn push(&mut self, n: usize) {
+        let mut fresh = 0u64;
+        for lane in 0..n {
+            fresh |= (self.state & 1) << lane;
+            let fb = u64::from((self.state & self.taps).count_ones() & 1);
+            self.state = self.state << 1 | fb;
+        }
+        let (w, b) = (self.max_delay / 64, self.max_delay % 64);
+        let placed = u128::from(fresh) << b;
+        self.window[w] |= placed as u64;
+        self.window[w + 1] |= (placed >> 64) as u64;
+    }
+
+    /// The 64 window bits starting at bit `at`.
+    fn read(&self, at: usize) -> u64 {
+        let w = at / 64;
+        funnel(self.window[w], self.window[w + 1], at % 64)
+    }
+
+    /// Discards the oldest `n ≤ 64` window bits.
+    fn drop_front(&mut self, n: usize) {
+        let last = self.window.len() - 1;
+        for w in 0..last {
+            self.window[w] = funnel(self.window[w], self.window[w + 1], n);
+        }
+        self.window[last] = funnel(self.window[last], 0, n);
+    }
+}
+
+/// Bits `shift .. shift + 64` of the 128-bit value `hi:lo`, for
+/// `shift ≤ 64`.
+fn funnel(lo: u64, hi: u64, shift: usize) -> u64 {
+    ((u128::from(hi) << 64 | u128::from(lo)) >> shift) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,6 +594,45 @@ mod tests {
         }
         // Output is input delayed by 3 cycles (initially 0).
         assert_eq!(outs, vec![false, false, false, true, false, true]);
+    }
+
+    #[test]
+    fn delayed_windows_match_an_lfsr_with_shift_register_extension() {
+        // Delays past the last stage read a zero-reset extension string
+        // clocked after stage M; 70 spans two window words. Ragged blocks
+        // and warm-ups that are not a multiple of 64 keep the window
+        // unaligned.
+        let p = primitive_polynomial(5).unwrap();
+        let delays = vec![0, 4, 5, 9, 70, 3];
+        let mut lfsr = Lfsr::new(&p, LfsrKind::Type1);
+        let mut ext = ShiftRegister::new(66);
+        let mut win = DelayedWindows::new(&lfsr, delays.clone());
+        let clock = |lfsr: &mut Lfsr, ext: &mut ShiftRegister| {
+            ext.shift(lfsr.stage(5));
+            lfsr.step();
+        };
+        for (advance, lanes) in [(0, 64), (37, 13), (0, 64), (130, 1), (1, 0), (0, 64)] {
+            win.advance(advance);
+            for _ in 0..advance {
+                clock(&mut lfsr, &mut ext);
+            }
+            let words = win.next_words(lanes);
+            assert_eq!(words.len(), delays.len());
+            for lane in 0..64 {
+                for (i, &d) in delays.iter().enumerate() {
+                    let want = lane < lanes
+                        && if d < 5 {
+                            lfsr.stage(d + 1)
+                        } else {
+                            ext.stage(d - 5)
+                        };
+                    assert_eq!(words[i] >> lane & 1 == 1, want, "delay {d} lane {lane}");
+                }
+                if lane < lanes {
+                    clock(&mut lfsr, &mut ext);
+                }
+            }
+        }
     }
 
     #[test]

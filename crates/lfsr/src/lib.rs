@@ -15,6 +15,9 @@
 //!   register that also visits the all-0 state (ref \[15\] of the paper);
 //! * [`fsr::ShiftRegister`] — the plain shift-register segments SC_TPG and
 //!   MC_TPG splice between LFSR stages;
+//! * [`fsr::DelayedWindows`] — the word-parallel kernel that emits 64
+//!   clocks of any set of stages (or extension flip-flops) of a type-1
+//!   LFSR string at once, as delayed windows of its stage-1 stream;
 //! * [`misr::Misr`] — multiple-input signature registers for the BILBO
 //!   signature-analysis mode;
 //! * [`bilbo::BilboRegister`] — BILBO/CBILBO register models with the
