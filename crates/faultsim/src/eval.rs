@@ -4,15 +4,18 @@
 //! Both engines *must* compute per-fault detection identically — the
 //! parallel engine's determinism guarantee (bit-identical
 //! [`crate::sim::FaultSimReport`]s) rests on there being exactly one
-//! mapping from faults to [`Patch`]es and one output-difference rule.
-//! Since the compiled-IR refactor the evaluation itself lives in
-//! [`bibs_netlist::EvalProgram`]; this module supplies the fault-model
-//! glue. The seed AST-walking interpreter survives in
-//! [`crate::reference`] as the equivalence oracle.
+//! mapping from faults to [`Patch`]es, one faulty-machine evaluation
+//! ([`eval_fault`]) and one output-difference rule. The evaluation itself
+//! lives in [`bibs_netlist::EvalProgram`]: scalar faults run the
+//! event-driven kernel ([`EvalProgram::propagate_patched`]) on a
+//! [`FaultyMachine`] that equals the good machine outside the slots the
+//! current fault touches, and wide faults run the full program. This
+//! module supplies the fault-model glue. The seed AST-walking interpreter
+//! survives in [`crate::reference`] as the equivalence oracle.
 
 use crate::fault::{Fault, FaultSite};
 use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, Patch};
+use bibs_netlist::{EvalProgram, EventScratch, Fanout, Patch};
 
 /// Maps a stuck-at fault to its compiled patch-point.
 ///
@@ -108,29 +111,72 @@ pub(crate) fn validate_fault_patches(
     }
 }
 
-/// One faulty-machine evaluation: runs `program` (the good-machine
-/// program) for `Direct`/`Multi`, or `fallback` (the pre-rewrite
-/// program; same slot space) for `Fallback`. Returns the instruction
-/// count executed.
+/// One worker's faulty machine: a value buffer that equals the block's
+/// good machine outside the slots the current fault writes, plus the
+/// event kernel's scratch ([`EventScratch`]).
+#[derive(Debug, Clone)]
+pub(crate) struct FaultyMachine {
+    values: Vec<u64>,
+    scratch: EventScratch,
+}
+
+impl FaultyMachine {
+    pub(crate) fn new(program: &EvalProgram) -> Self {
+        FaultyMachine {
+            values: program.new_values(),
+            scratch: EventScratch::default(),
+        }
+    }
+
+    /// Copies the block's good machine in; once per block (per worker),
+    /// before its first [`eval_fault`].
+    #[inline]
+    pub(crate) fn sync(&mut self, good: &[u64]) {
+        self.values.copy_from_slice(good);
+    }
+}
+
+/// One faulty-machine evaluation against the block's good machine `good`,
+/// which `faulty` was [synced](FaultyMachine::sync) to. Returns the
+/// instructions evaluated and the output difference over all 64 lanes
+/// (callers mask it to the block's valid lanes).
 ///
-/// `Fallback` without a fallback program is rejected at engine
-/// construction by [`validate_fault_patches`], so it is unreachable here.
+/// `Direct` and `Multi` faults go through the event kernel
+/// ([`EvalProgram::propagate_patched`]) on `program`, then only the
+/// touched slots are restored. `Fallback` faults run the whole
+/// pre-rewrite `fallback` program (same slot space), whose slots the
+/// optimized good buffer does not all hold, so the buffer is re-synced
+/// afterwards. `Fallback` without a fallback program is rejected at
+/// engine construction by [`validate_fault_patches`], so it is
+/// unreachable here.
 #[inline]
 pub(crate) fn eval_fault(
     program: &EvalProgram,
+    fanout: &Fanout,
     fallback: Option<&EvalProgram>,
-    values: &mut [u64],
+    good: &[u64],
+    faulty: &mut FaultyMachine,
     input_words: &[u64],
     fp: &FaultPatch,
-) -> u64 {
-    match fp {
-        FaultPatch::Direct(p) => program.eval_patched(values, input_words, *p),
-        FaultPatch::Multi(ps) => program.eval_multi_patched(values, input_words, ps),
-        FaultPatch::Fallback(p) => match fallback {
-            Some(orig) => orig.eval_patched(values, input_words, *p),
-            None => unreachable!("validate_fault_patches admits Fallback only with a fallback"),
-        },
-    }
+) -> (u64, u64) {
+    let patches = match fp {
+        FaultPatch::Direct(p) => std::slice::from_ref(p),
+        FaultPatch::Multi(ps) => &ps[..],
+        FaultPatch::Fallback(p) => {
+            let Some(orig) = fallback else {
+                unreachable!("validate_fault_patches admits Fallback only with a fallback")
+            };
+            let evaluated = orig.eval_patched(&mut faulty.values, input_words, *p);
+            let diff = output_diff(program.output_slots(), good, &faulty.values);
+            faulty.sync(good);
+            return (evaluated, diff);
+        }
+    };
+    let evaluated =
+        program.propagate_patched(fanout, &mut faulty.values, &mut faulty.scratch, patches);
+    let diff = output_diff(program.output_slots(), good, &faulty.values);
+    faulty.scratch.restore(good, &mut faulty.values);
+    (evaluated, diff)
 }
 
 /// Wide [`eval_fault`]: `input_chunks` is the chunk-contiguous wide input
@@ -155,20 +201,13 @@ pub(crate) fn eval_fault_wide<const N: usize>(
 }
 
 /// The lanes (bit positions) on which the faulty machine's outputs differ
-/// from the good machine's, restricted to `lane_mask`. Slot-indexed
-/// variant for the compiled engines ([`EvalProgram::output_slots`]).
+/// from the good machine's. Slot-indexed variant for the compiled engines
+/// ([`EvalProgram::output_slots`]).
 #[inline]
-pub(crate) fn output_diff(
-    output_slots: &[u32],
-    good: &[u64],
-    faulty: &[u64],
-    lane_mask: u64,
-) -> u64 {
-    let mut diff = 0u64;
-    for &o in output_slots {
-        diff |= good[o as usize] ^ faulty[o as usize];
-    }
-    diff & lane_mask
+pub(crate) fn output_diff(output_slots: &[u32], good: &[u64], faulty: &[u64]) -> u64 {
+    output_slots
+        .iter()
+        .fold(0, |diff, &o| diff | (good[o as usize] ^ faulty[o as usize]))
 }
 
 /// Wide [`output_diff`]: scans the `N` sub-words in lane order and

@@ -6,10 +6,13 @@
 //! 1. **one** good-machine run of the compiled
 //!    [`EvalProgram`] into a buffer all
 //!    workers share read-only;
-//! 2. workers steal fixed-size chunks of the undetected list off an
-//!    `AtomicUsize` cursor, running the *same* program with each fault's
-//!    pre-compiled [`bibs_netlist::Patch`] into a worker-private
-//!    `faulty` buffer and recording `(position, first-diff-lane)` hits;
+//! 2. each worker syncs its private faulty buffer to the good one, then
+//!    steals fixed-size chunks of the undetected list off an
+//!    `AtomicUsize` cursor. Per fault it applies the pre-compiled
+//!    [`bibs_netlist::Patch`]es to that buffer and evaluates, event-driven,
+//!    only the instructions the fault changes
+//!    ([`EvalProgram::propagate_patched`]), records a
+//!    `(position, first-diff-lane)` hit, and restores the touched slots;
 //! 3. the main thread merges the hits and compacts the undetected list.
 //!
 //! # Determinism
@@ -42,7 +45,7 @@ use crate::sim::{BlockSim, FaultSimReport, FaultSimulator, SimError};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, Netlist};
+use bibs_netlist::{EvalProgram, Fanout, Netlist};
 use bibs_obs::{CounterId, Recorder, ShardCounters};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -134,9 +137,13 @@ pub struct ParFaultSimulator<'a> {
     /// Indices (into `faults`) of the faults still undetected — the work
     /// list the workers shard. Compacted after every block.
     undetected: Vec<u32>,
+    /// `program`'s fan-out index, shared read-only by the workers' event
+    /// kernels.
+    fanout: Fanout,
     good: Vec<u64>,
-    /// One faulty-machine buffer per worker, reused across blocks.
-    faulty_bufs: Vec<Vec<u64>>,
+    /// One faulty machine (buffer + event scratch) per worker, reused
+    /// across blocks.
+    faulty_bufs: Vec<eval::FaultyMachine>,
     /// 64-lane words per sweep: 1 (scalar) or 4/8 (`with_lanes`).
     lane_words: usize,
     /// Stride-`lane_words` wide buffers; empty while scalar.
@@ -229,9 +236,12 @@ impl<'a> ParFaultSimulator<'a> {
         let patches = eval::compile_fault_patches(&program, None, &faults);
         let n = faults.len();
         let good = program.new_values();
-        let faulty_bufs = (0..threads).map(|_| program.new_values()).collect();
+        let faulty_bufs = (0..threads)
+            .map(|_| eval::FaultyMachine::new(&program))
+            .collect();
         ParFaultSimulator {
             netlist,
+            fanout: program.fanout(),
             program,
             fallback: None,
             faults,
@@ -513,81 +523,89 @@ impl BlockSim for ParFaultSimulator<'_> {
         let good_gate_evals = self.program.eval_good(&mut self.good, input_words);
 
         let program = &self.program;
+        let fanout = &self.fanout;
         let fallback = self.fallback.as_ref();
         let patches = &self.patches;
         let undetected = &self.undetected;
         let good = &self.good;
-        let output_slots = program.output_slots();
 
         // Per-shard results: detection hits plus the shard's private
         // telemetry counters. Workers never touch the recorder — each
         // fills its own ShardCounters (plain u64 adds), and the owning
         // thread merges them lock-free after the scope joins.
-        let shard_results: Vec<ShardResult> = if self.threads <= 1
-            || undetected.len() <= SERIAL_CUTOFF
-        {
-            // Inline path on shard 0 — same program, no spawning.
-            let buf = &mut self.faulty_bufs[0];
-            let mut hits = Vec::new();
-            let mut shard = ShardCounters::new();
-            let shard_started = Instant::now();
-            for (pos, &fi) in undetected.iter().enumerate() {
-                let fp = &patches[fi as usize];
-                let gate_evals = eval::eval_fault(program, fallback, buf, input_words, fp);
-                shard.add(CounterId::GateEvals, gate_evals);
-                shard.add(CounterId::FaultEvals, 1);
-                shard.add(CounterId::PatchesApplied, fp.patch_count());
-                let diff = eval::output_diff(output_slots, good, buf, lane_mask);
-                if diff != 0 {
-                    hits.push((pos, diff.trailing_zeros() as u64));
+        let shard_results: Vec<ShardResult> =
+            if self.threads <= 1 || undetected.len() <= SERIAL_CUTOFF {
+                // Inline path on shard 0 — same program, no spawning.
+                let buf = &mut self.faulty_bufs[0];
+                buf.sync(good);
+                let mut hits = Vec::new();
+                let mut shard = ShardCounters::new();
+                let shard_started = Instant::now();
+                for (pos, &fi) in undetected.iter().enumerate() {
+                    let fp = &patches[fi as usize];
+                    let (gate_evals, diff) =
+                        eval::eval_fault(program, fanout, fallback, good, buf, input_words, fp);
+                    shard.add(CounterId::GateEvals, gate_evals);
+                    shard.add(CounterId::FaultEvals, 1);
+                    shard.add(CounterId::PatchesApplied, fp.patch_count());
+                    let diff = diff & lane_mask;
+                    if diff != 0 {
+                        hits.push((pos, diff.trailing_zeros() as u64));
+                    }
                 }
-            }
-            shard.wall = shard_started.elapsed();
-            vec![(hits, shard)]
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let cursor = &cursor;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .faulty_bufs
-                    .iter_mut()
-                    .map(|buf| {
-                        s.spawn(move || {
-                            let mut hits: Vec<(usize, u64)> = Vec::new();
-                            let mut shard = ShardCounters::new();
-                            let shard_started = Instant::now();
-                            loop {
-                                let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-                                if start >= undetected.len() {
-                                    break;
-                                }
-                                shard.add(CounterId::QueuePops, 1);
-                                let end = (start + STEAL_CHUNK).min(undetected.len());
-                                for pos in start..end {
-                                    let fp = &patches[undetected[pos] as usize];
-                                    let gate_evals =
-                                        eval::eval_fault(program, fallback, buf, input_words, fp);
-                                    shard.add(CounterId::GateEvals, gate_evals);
-                                    shard.add(CounterId::FaultEvals, 1);
-                                    shard.add(CounterId::PatchesApplied, fp.patch_count());
-                                    let diff =
-                                        eval::output_diff(output_slots, good, buf, lane_mask);
-                                    if diff != 0 {
-                                        hits.push((pos, diff.trailing_zeros() as u64));
+                shard.wall = shard_started.elapsed();
+                vec![(hits, shard)]
+            } else {
+                let cursor = AtomicUsize::new(0);
+                let cursor = &cursor;
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = self
+                        .faulty_bufs
+                        .iter_mut()
+                        .map(|buf| {
+                            s.spawn(move || {
+                                let mut hits: Vec<(usize, u64)> = Vec::new();
+                                let mut shard = ShardCounters::new();
+                                let shard_started = Instant::now();
+                                buf.sync(good);
+                                loop {
+                                    let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
+                                    if start >= undetected.len() {
+                                        break;
+                                    }
+                                    shard.add(CounterId::QueuePops, 1);
+                                    let end = (start + STEAL_CHUNK).min(undetected.len());
+                                    for pos in start..end {
+                                        let fp = &patches[undetected[pos] as usize];
+                                        let (gate_evals, diff) = eval::eval_fault(
+                                            program,
+                                            fanout,
+                                            fallback,
+                                            good,
+                                            buf,
+                                            input_words,
+                                            fp,
+                                        );
+                                        shard.add(CounterId::GateEvals, gate_evals);
+                                        shard.add(CounterId::FaultEvals, 1);
+                                        shard.add(CounterId::PatchesApplied, fp.patch_count());
+                                        let diff = diff & lane_mask;
+                                        if diff != 0 {
+                                            hits.push((pos, diff.trailing_zeros() as u64));
+                                        }
                                     }
                                 }
-                            }
-                            shard.wall = shard_started.elapsed();
-                            (hits, shard)
+                                shard.wall = shard_started.elapsed();
+                                (hits, shard)
+                            })
                         })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fault-sim worker panicked"))
-                    .collect()
-            })
-        };
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| h.join().expect("fault-sim worker panicked"))
+                        .collect()
+                })
+            };
 
         // Deterministic merge: workers own disjoint positions, and each
         // hit's detection index depends only on (fault, block). Shard

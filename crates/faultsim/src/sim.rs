@@ -23,7 +23,7 @@ use crate::fault::Fault;
 use crate::source::{PatternBlock, PatternSource, RandomWords};
 use crate::stats::SimStats;
 use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, Netlist};
+use bibs_netlist::{EvalProgram, Fanout, Netlist};
 use bibs_obs::{CounterId, Recorder, ShardCounters};
 use rand::Rng;
 use std::time::Instant;
@@ -562,8 +562,10 @@ pub struct FaultSimulator<'a> {
     /// `detection[i]` = pattern index at which fault *i* was first
     /// detected.
     detection: Vec<Option<u64>>,
+    /// `program`'s fan-out index, which the event kernel schedules from.
+    fanout: Fanout,
     good: Vec<u64>,
-    faulty: Vec<u64>,
+    faulty: eval::FaultyMachine,
     /// 64-lane words per sweep: 1 (scalar) or 4/8 (`with_lanes`).
     lane_words: usize,
     /// Stride-`lane_words` wide buffers; empty while scalar.
@@ -685,9 +687,10 @@ impl<'a> FaultSimulator<'a> {
         let patches = eval::compile_fault_patches(&program, None, &faults);
         let n = faults.len();
         let good = program.new_values();
-        let faulty = program.new_values();
+        let faulty = eval::FaultyMachine::new(&program);
         FaultSimulator {
             netlist,
+            fanout: program.fanout(),
             program,
             fallback: None,
             faults,
@@ -866,8 +869,10 @@ impl BlockSim for FaultSimulator<'_> {
         let lane_mask: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
         let started = Instant::now();
 
-        // Good machine, shared by every fault of the block.
+        // Good machine, shared by every fault of the block; the faulty
+        // machine starts from it and evaluates only what each fault changes.
         let good_gate_evals = self.program.eval_good(&mut self.good, input_words);
+        self.faulty.sync(&self.good);
 
         // The fault loop counts into a private ShardCounters (plain u64
         // adds, no span-stack lookups) that is attached once per block.
@@ -877,9 +882,11 @@ impl BlockSim for FaultSimulator<'_> {
             if self.detection[fi].is_some() {
                 continue;
             }
-            let gate_evals = eval::eval_fault(
+            let (gate_evals, diff) = eval::eval_fault(
                 &self.program,
+                &self.fanout,
                 self.fallback.as_ref(),
+                &self.good,
                 &mut self.faulty,
                 input_words,
                 &self.patches[fi],
@@ -887,12 +894,7 @@ impl BlockSim for FaultSimulator<'_> {
             shard.add(CounterId::GateEvals, gate_evals);
             shard.add(CounterId::FaultEvals, 1);
             shard.add(CounterId::PatchesApplied, self.patches[fi].patch_count());
-            let diff = eval::output_diff(
-                self.program.output_slots(),
-                &self.good,
-                &self.faulty,
-                lane_mask,
-            );
+            let diff = diff & lane_mask;
             if diff != 0 {
                 let lane = diff.trailing_zeros() as u64;
                 self.detection[fi] = Some(self.patterns_applied + lane);

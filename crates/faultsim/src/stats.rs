@@ -48,8 +48,12 @@ pub struct SimStats {
     /// reuse a caller-supplied program, and for the reference
     /// interpreter).
     pub compile_wall: Duration,
-    /// Total gate evaluations (compiled instructions executed, or
-    /// interpreted gate visits) across good and faulty machines.
+    /// Total gate evaluations across good and faulty machines: compiled
+    /// instructions executed, or interpreted gate visits. The scalar
+    /// compiled engines run the faulty machine event-driven, so there it
+    /// counts only the instructions a fault's difference actually
+    /// reached; the wide path counts the full program, lane-normalized
+    /// (see [`SimStats::lanes`]).
     pub gate_evals: u64,
     /// Fault patch-points applied (one per faulty-machine evaluation in
     /// the compiled engines; zero in the reference interpreter).

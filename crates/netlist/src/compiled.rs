@@ -21,7 +21,13 @@
 //! * **fault patch-points**: for any net or gate pin, a [`Patch`] that
 //!   forces the corresponding slot, instruction output, or instruction
 //!   operand to a stuck value. Faulty-machine evaluation is "run the same
-//!   program with one patch applied", not a second bespoke interpreter.
+//!   program with one patch applied", not a second bespoke interpreter;
+//! * an **event-driven faulty machine**
+//!   ([`EvalProgram::propagate_patched`]): starting from the good
+//!   machine's buffer, it evaluates only the instructions a patch's
+//!   difference reaches, scheduled from the slot fan-out index
+//!   ([`Fanout`]), and [`EventScratch::restore`] puts the touched slots
+//!   back. The full-program kernels remain its reference.
 //!
 //! *Slots* are net indices: slot `i` of a value buffer holds the 64-lane
 //! word of net `NetId::from_index(i)`. This keeps the compiled engine
@@ -78,7 +84,8 @@ pub(crate) const NO_INSTR: u32 = u32::MAX;
 /// run into a faulty-machine run.
 ///
 /// Produced by [`EvalProgram::patch_net`] / [`EvalProgram::patch_pin`];
-/// consumed by [`EvalProgram::run_patched`] / [`EvalProgram::eval_patched`].
+/// consumed by [`EvalProgram::run_patched`] / [`EvalProgram::eval_patched`]
+/// and the event-driven [`EvalProgram::propagate_patched`].
 /// `word` is the 64-lane stuck value (`!0` for stuck-at-1, `0` for
 /// stuck-at-0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +129,57 @@ pub struct Instr<'a> {
     pub out: u32,
     /// The gate this instruction was compiled from.
     pub gate: GateId,
+}
+
+/// The instruction an instruction-indexed patch targets; `None` for
+/// [`Patch::Slot`].
+#[inline]
+fn patch_instr(p: &Patch) -> Option<usize> {
+    match *p {
+        Patch::Slot { .. } => None,
+        Patch::InstrOutput { instr, .. } | Patch::InstrPin { instr, .. } => Some(instr as usize),
+    }
+}
+
+/// Slot → reading instructions, in compressed sparse-row form: the
+/// fan-out index the event-driven kernel
+/// ([`EvalProgram::propagate_patched`]) schedules from. Built once per
+/// program by [`EvalProgram::fanout`]; immutable, so every worker shares
+/// one.
+#[derive(Debug, Clone)]
+pub struct Fanout {
+    /// The readers of slot `s` are `readers[start[s]..start[s + 1]]`.
+    start: Vec<u32>,
+    /// Reading instructions, ascending per slot, each listed once.
+    readers: Vec<u32>,
+}
+
+impl Fanout {
+    /// The instructions reading `slot`, in ascending index.
+    #[inline]
+    fn readers(&self, slot: usize) -> &[u32] {
+        &self.readers[self.start[slot] as usize..self.start[slot + 1] as usize]
+    }
+}
+
+/// One worker's scratch for [`EvalProgram::propagate_patched`]: the
+/// pending set over instruction indices (empty between calls) and the
+/// slots the current fault has written.
+#[derive(Debug, Clone, Default)]
+pub struct EventScratch {
+    pending: Vec<u64>,
+    touched: Vec<u32>,
+}
+
+impl EventScratch {
+    /// Copies every slot the last [`EvalProgram::propagate_patched`] wrote
+    /// back from `good`, so `faulty` equals the good machine again.
+    #[inline]
+    pub fn restore(&mut self, good: &[u64], faulty: &mut [u64]) {
+        for s in self.touched.drain(..) {
+            faulty[s as usize] = good[s as usize];
+        }
+    }
 }
 
 /// A netlist compiled to a flat, allocation-free evaluation program.
@@ -443,8 +501,8 @@ impl EvalProgram {
     ///
     /// Re-applying the (typically empty) constant prologue makes the buffer
     /// self-healing: a previous [`Patch::Slot`] on a constant slot is
-    /// undone here, so one persistent faulty buffer serves every fault in a
-    /// run. Returns the number of instructions executed.
+    /// undone here, so one buffer can serve fault after fault. Returns the
+    /// number of instructions executed.
     #[inline]
     pub fn eval_patched(&self, values: &mut [u64], input_words: &[u64], patch: Patch) -> u64 {
         self.apply_consts(values);
@@ -453,32 +511,11 @@ impl EvalProgram {
     }
 
     /// Executes the instruction stream with `patch` applied. Sources must
-    /// already be set. Returns the number of instructions executed.
+    /// already be set. Returns the number of instructions executed (a
+    /// forced instruction output is not executed).
     #[inline]
     pub fn run_patched(&self, values: &mut [u64], patch: Patch) -> u64 {
-        let n = self.ops.len();
-        match patch {
-            Patch::Slot { slot, word } => {
-                values[slot as usize] = word;
-                self.exec_range(values, 0, n);
-                n as u64
-            }
-            Patch::InstrOutput { instr, word } => {
-                let i = instr as usize;
-                self.exec_range(values, 0, i);
-                values[self.out_slot[i] as usize] = word;
-                self.exec_range(values, i + 1, n);
-                (n - 1) as u64
-            }
-            Patch::InstrPin { instr, pin, word } => {
-                let i = instr as usize;
-                self.exec_range(values, 0, i);
-                values[self.out_slot[i] as usize] =
-                    self.eval_instr_pinned(values, i, pin as usize, word);
-                self.exec_range(values, i + 1, n);
-                n as u64
-            }
-        }
+        self.run_multi_patched(values, std::slice::from_ref(&patch))
     }
 
     /// Faulty-machine evaluation with *several* patch-points applied at
@@ -524,43 +561,191 @@ impl EvalProgram {
         let mut cursor = 0usize;
         let mut k = 0usize;
         while k < patches.len() {
-            let (i, forced_out) = match patches[k] {
-                Patch::Slot { .. } => {
-                    k += 1;
-                    continue;
-                }
-                Patch::InstrOutput { instr, word } => (instr as usize, Some(word)),
-                Patch::InstrPin { instr, .. } => (instr as usize, None),
+            let Some(i) = patch_instr(&patches[k]) else {
+                k += 1;
+                continue;
             };
             debug_assert!(i >= cursor, "instruction patches must be sorted");
             self.exec_range(values, cursor, i);
             executed += (i - cursor) as u64;
-            if let Some(word) = forced_out {
-                values[self.out_slot[i] as usize] = word;
-                k += 1;
-            } else {
-                let first = k;
-                while k < patches.len()
-                    && matches!(patches[k], Patch::InstrPin { instr, .. } if instr as usize == i)
-                {
-                    k += 1;
-                }
-                values[self.out_slot[i] as usize] =
-                    self.eval_instr_multi_pinned(values, i, &patches[first..k]);
-                executed += 1;
-            }
-            // Swallow any remaining patches on the same instruction (a
-            // forced output makes pin patches on it moot).
-            while k < patches.len()
-                && matches!(patches[k], Patch::InstrPin { instr, .. } | Patch::InstrOutput { instr, .. } if instr as usize == i)
-            {
-                k += 1;
-            }
+            let (word, evaluated, run) = self.patched_word(values, i, &patches[k..]);
+            values[self.out_slot[i] as usize] = word;
+            executed += u64::from(evaluated);
+            k += run;
             cursor = i + 1;
         }
         self.exec_range(values, cursor, n);
         executed += (n - cursor) as u64;
         executed
+    }
+
+    /// The fan-out index of this program: for every slot, the
+    /// instructions that read it. [`EvalProgram::propagate_patched`]
+    /// schedules from it; build it once and share it between workers.
+    pub fn fanout(&self) -> Fanout {
+        // Count the readers per slot, then fill the spans in a second
+        // pass over the same reads.
+        let mut start = vec![0u32; self.slot_count + 1];
+        self.for_each_read(|s, _| start[s + 1] += 1);
+        for s in 0..self.slot_count {
+            start[s + 1] += start[s];
+        }
+        let mut next = start.clone();
+        let mut readers = vec![0u32; start[self.slot_count] as usize];
+        self.for_each_read(|s, i| {
+            readers[next[s] as usize] = i;
+            next[s] += 1;
+        });
+        Fanout { start, readers }
+    }
+
+    /// Calls `f(slot, instr)` for every slot each instruction reads, in
+    /// ascending instruction order, once per instruction even if it reads
+    /// the slot on several pins.
+    fn for_each_read(&self, mut f: impl FnMut(usize, u32)) {
+        for i in 0..self.ops.len() {
+            let span =
+                &self.operands[self.operand_start[i] as usize..self.operand_start[i + 1] as usize];
+            for (pin, &s) in span.iter().enumerate() {
+                if !span[..pin].contains(&s) {
+                    f(s as usize, i as u32);
+                }
+            }
+        }
+    }
+
+    /// Event-driven faulty-machine evaluation: applies `patches` to a
+    /// buffer that holds the good machine and evaluates only the
+    /// instructions a difference reaches.
+    ///
+    /// `values` must equal the good machine of the same inputs (a copy of
+    /// the [`EvalProgram::eval_good`] buffer, or one put back by
+    /// [`EventScratch::restore`]); `fanout` is this program's
+    /// [`EvalProgram::fanout`]. Patches follow the
+    /// [`EvalProgram::run_multi_patched`] contract. A patch whose word
+    /// differs from the buffer schedules its readers (or its own
+    /// instruction) in a pending set; pending instructions are popped in
+    /// ascending index, which is topological, so each is evaluated at most
+    /// once, and an output that does not change schedules nothing. On
+    /// return every slot holds what [`EvalProgram::run_multi_patched`]
+    /// would compute; the slots written are recorded in `scratch` for
+    /// [`EventScratch::restore`], which must run before the next call.
+    ///
+    /// Returns the number of instructions evaluated (a forced instruction
+    /// output is not evaluated).
+    pub fn propagate_patched(
+        &self,
+        fanout: &Fanout,
+        values: &mut [u64],
+        scratch: &mut EventScratch,
+        patches: &[Patch],
+    ) -> u64 {
+        debug_assert!(scratch.touched.is_empty(), "restore before the next fault");
+        let words = self.ops.len().div_ceil(64);
+        if scratch.pending.len() < words {
+            scratch.pending.resize(words, 0);
+        }
+        let EventScratch { pending, touched } = scratch;
+        // Pending instructions live in words `lo..=hi`.
+        let (mut lo, mut hi) = (usize::MAX, 0usize);
+        #[inline(always)]
+        fn schedule(pending: &mut [u64], lo: &mut usize, hi: &mut usize, i: u32) {
+            let w = (i >> 6) as usize;
+            pending[w] |= 1u64 << (i & 63);
+            *lo = (*lo).min(w);
+            *hi = (*hi).max(w);
+        }
+
+        for p in patches {
+            if let Patch::Slot { slot, word } = *p {
+                let s = slot as usize;
+                if values[s] != word {
+                    values[s] = word;
+                    touched.push(slot);
+                    for &r in fanout.readers(s) {
+                        schedule(pending, &mut lo, &mut hi, r);
+                    }
+                    // A forced gate-driven slot is overwritten by its
+                    // writer, exactly as in the full-program kernel.
+                    if self.instr_of_slot[s] != NO_INSTR {
+                        schedule(pending, &mut lo, &mut hi, self.instr_of_slot[s]);
+                    }
+                }
+            }
+        }
+        for p in patches {
+            let changes = match *p {
+                Patch::Slot { .. } => false,
+                Patch::InstrOutput { instr, word } => {
+                    values[self.out_slot[instr as usize] as usize] != word
+                }
+                Patch::InstrPin { instr, pin, word } => {
+                    let operand = self.operand_start[instr as usize] + pin;
+                    values[self.operands[operand as usize] as usize] != word
+                }
+            };
+            if let (true, Some(i)) = (changes, patch_instr(p)) {
+                schedule(pending, &mut lo, &mut hi, i as u32);
+            }
+        }
+
+        let mut evaluated = 0u64;
+        // Cursor into `patches`: the first patch not on an instruction
+        // below the one popped (pops ascend, so it only moves forward).
+        let mut k = 0usize;
+        let mut w = lo;
+        while w <= hi {
+            while pending[w] != 0 {
+                let bits = pending[w];
+                pending[w] = bits & (bits - 1);
+                let i = (w << 6) | bits.trailing_zeros() as usize;
+                while k < patches.len() && patch_instr(&patches[k]).is_none_or(|pi| pi < i) {
+                    k += 1;
+                }
+                let word = if k < patches.len() && patch_instr(&patches[k]) == Some(i) {
+                    let (word, was_evaluated, _) = self.patched_word(values, i, &patches[k..]);
+                    evaluated += u64::from(was_evaluated);
+                    word
+                } else {
+                    evaluated += 1;
+                    self.eval_instr(values, i)
+                };
+                let out = self.out_slot[i] as usize;
+                if values[out] != word {
+                    values[out] = word;
+                    touched.push(out as u32);
+                    for &r in fanout.readers(out) {
+                        schedule(pending, &mut lo, &mut hi, r);
+                    }
+                }
+            }
+            w += 1;
+        }
+        evaluated
+    }
+
+    /// The output word of instruction `i` under the run of patches on `i`
+    /// that starts `patches`: a leading [`Patch::InstrOutput`] forces it
+    /// (supersedes the rest of the run), otherwise the leading
+    /// [`Patch::InstrPin`]s override their operands. Returns the word,
+    /// whether the instruction was evaluated, and the run's length.
+    fn patched_word(&self, values: &[u64], i: usize, patches: &[Patch]) -> (u64, bool, usize) {
+        let run = patches
+            .iter()
+            .take_while(|p| patch_instr(p) == Some(i))
+            .count();
+        if let Patch::InstrOutput { word, .. } = patches[0] {
+            return (word, false, run);
+        }
+        let pins = patches[..run]
+            .iter()
+            .take_while(|p| matches!(p, Patch::InstrPin { .. }))
+            .count();
+        (
+            self.eval_instr_multi_pinned(values, i, &patches[..pins]),
+            true,
+            run,
+        )
     }
 
     /// Builds the patch-point for a stuck-at fault on `net`.
@@ -631,38 +816,42 @@ impl EvalProgram {
     #[inline]
     fn exec_range(&self, values: &mut [u64], from: usize, to: usize) {
         for i in from..to {
-            let start = self.operand_start[i] as usize;
-            let end = self.operand_start[i + 1] as usize;
-            let out = self.out_slot[i] as usize;
-            // Binary gates dominate real netlists; give them a spanless
-            // fast path before the general fold.
-            let word = if end - start == 2 {
-                let a = values[self.operands[start] as usize];
-                let b = values[self.operands[start + 1] as usize];
-                match self.ops[i] {
-                    GateKind::And => a & b,
-                    GateKind::Or => a | b,
-                    GateKind::Nand => !(a & b),
-                    GateKind::Nor => !(a | b),
-                    GateKind::Xor => a ^ b,
-                    GateKind::Xnor => !(a ^ b),
-                    GateKind::Not => !a,
-                    GateKind::Buf => a,
-                }
-            } else {
-                let span = &self.operands[start..end];
-                match self.ops[i] {
-                    GateKind::And => span.iter().fold(!0u64, |acc, &s| acc & values[s as usize]),
-                    GateKind::Or => span.iter().fold(0u64, |acc, &s| acc | values[s as usize]),
-                    GateKind::Nand => !span.iter().fold(!0u64, |acc, &s| acc & values[s as usize]),
-                    GateKind::Nor => !span.iter().fold(0u64, |acc, &s| acc | values[s as usize]),
-                    GateKind::Xor => span.iter().fold(0u64, |acc, &s| acc ^ values[s as usize]),
-                    GateKind::Xnor => !span.iter().fold(0u64, |acc, &s| acc ^ values[s as usize]),
-                    GateKind::Not => !values[self.operands[start] as usize],
-                    GateKind::Buf => values[self.operands[start] as usize],
-                }
-            };
-            values[out] = word;
+            values[self.out_slot[i] as usize] = self.eval_instr(values, i);
+        }
+    }
+
+    /// Evaluates instruction `i` over `values` (its output is not written).
+    #[inline(always)]
+    fn eval_instr(&self, values: &[u64], i: usize) -> u64 {
+        let start = self.operand_start[i] as usize;
+        let end = self.operand_start[i + 1] as usize;
+        // Binary gates dominate real netlists; give them a spanless fast
+        // path before the general fold.
+        if end - start == 2 {
+            let a = values[self.operands[start] as usize];
+            let b = values[self.operands[start + 1] as usize];
+            match self.ops[i] {
+                GateKind::And => a & b,
+                GateKind::Or => a | b,
+                GateKind::Nand => !(a & b),
+                GateKind::Nor => !(a | b),
+                GateKind::Xor => a ^ b,
+                GateKind::Xnor => !(a ^ b),
+                GateKind::Not => !a,
+                GateKind::Buf => a,
+            }
+        } else {
+            let span = &self.operands[start..end];
+            match self.ops[i] {
+                GateKind::And => span.iter().fold(!0u64, |acc, &s| acc & values[s as usize]),
+                GateKind::Or => span.iter().fold(0u64, |acc, &s| acc | values[s as usize]),
+                GateKind::Nand => !span.iter().fold(!0u64, |acc, &s| acc & values[s as usize]),
+                GateKind::Nor => !span.iter().fold(0u64, |acc, &s| acc | values[s as usize]),
+                GateKind::Xor => span.iter().fold(0u64, |acc, &s| acc ^ values[s as usize]),
+                GateKind::Xnor => !span.iter().fold(0u64, |acc, &s| acc ^ values[s as usize]),
+                GateKind::Not => !values[self.operands[start] as usize],
+                GateKind::Buf => values[self.operands[start] as usize],
+            }
         }
     }
 
@@ -680,30 +869,6 @@ impl EvalProgram {
                 }
             }
             values[self.operands[start + idx] as usize]
-        };
-        let arity = end - start;
-        match self.ops[i] {
-            GateKind::And => (0..arity).fold(!0u64, |acc, idx| acc & operand(idx)),
-            GateKind::Or => (0..arity).fold(0u64, |acc, idx| acc | operand(idx)),
-            GateKind::Nand => !(0..arity).fold(!0u64, |acc, idx| acc & operand(idx)),
-            GateKind::Nor => !(0..arity).fold(0u64, |acc, idx| acc | operand(idx)),
-            GateKind::Xor => (0..arity).fold(0u64, |acc, idx| acc ^ operand(idx)),
-            GateKind::Xnor => !(0..arity).fold(0u64, |acc, idx| acc ^ operand(idx)),
-            GateKind::Not => !operand(0),
-            GateKind::Buf => operand(0),
-        }
-    }
-
-    /// Evaluates instruction `i` with operand `pin` overridden to `word`.
-    fn eval_instr_pinned(&self, values: &[u64], i: usize, pin: usize, word: u64) -> u64 {
-        let start = self.operand_start[i] as usize;
-        let end = self.operand_start[i + 1] as usize;
-        let operand = |idx: usize| {
-            if idx == pin {
-                word
-            } else {
-                values[self.operands[start + idx] as usize]
-            }
         };
         let arity = end - start;
         match self.ops[i] {
@@ -1261,10 +1426,33 @@ mod tests {
         }
     }
 
+    /// Runs `patches` through the event kernel on `faulty` (which holds
+    /// the good machine `good`), checks every slot against the
+    /// full-program buffer `full`, restores, and returns the number of
+    /// instructions evaluated.
+    fn check_event(
+        prog: &EvalProgram,
+        fanout: &Fanout,
+        scratch: &mut EventScratch,
+        good: &[u64],
+        faulty: &mut [u64],
+        full: &[u64],
+        patches: &[Patch],
+    ) -> u64 {
+        let evaluated = prog.propagate_patched(fanout, faulty, scratch, patches);
+        assert_eq!(faulty, full, "event vs full program, {patches:?}");
+        assert!(evaluated <= prog.instr_count() as u64, "{patches:?}");
+        scratch.restore(good, faulty);
+        assert_eq!(faulty, good, "restore after {patches:?}");
+        evaluated
+    }
+
     #[test]
     fn wide_patched_eval_matches_scalar_per_subword() {
         // Exercise all three patch kinds, plus a multi-patch slice, on a
-        // circuit with shared fanout and a constant.
+        // circuit with shared fanout and a constant: the wide kernel and
+        // the event kernel must both agree with the scalar full-program
+        // kernel.
         let mut b = NetlistBuilder::new("widepatch");
         let a = b.input("a");
         let c = b.input("b");
@@ -1279,6 +1467,10 @@ mod tests {
         const N: usize = 8;
         let width = nl.input_width();
         let chunks: Vec<u64> = (0..(width * N) as u64).map(pattern_word).collect();
+        let fanout = prog.fanout();
+        let mut scratch = EventScratch::default();
+        let mut good = prog.new_values();
+        let mut faulty = prog.new_values();
 
         let and_gate = nl
             .gate_ids()
@@ -1288,18 +1480,35 @@ mod tests {
             prog.patch_net(a, true),
             prog.patch_net(y1, false),
             prog.patch_pin(and_gate, 1, false),
+            // A forced gate-driven slot is overwritten by its writer.
+            Patch::Slot {
+                slot: y0.index() as u32,
+                word: !0,
+            },
         ];
         let mut wide = prog.new_values_wide::<N>();
         let mut scalar = prog.new_values();
         for patch in patches {
             let wide_evals = prog.eval_patched_wide::<N>(&mut wide, &chunks, patch);
             for k in 0..N {
-                let evals =
-                    prog.eval_patched(&mut scalar, &scalar_words::<N>(&chunks, width, k), patch);
+                let words = scalar_words::<N>(&chunks, width, k);
+                let evals = prog.eval_patched(&mut scalar, &words, patch);
                 assert_eq!(wide_evals, evals * N as u64, "{patch:?}");
                 for s in 0..prog.slot_count() {
                     assert_eq!(wide[s * N + k], scalar[s], "{patch:?} slot {s} word {k}");
                 }
+                prog.eval_good(&mut good, &words);
+                faulty.copy_from_slice(&good);
+                let p = [patch];
+                check_event(
+                    &prog,
+                    &fanout,
+                    &mut scratch,
+                    &good,
+                    &mut faulty,
+                    &scalar,
+                    &p,
+                );
             }
         }
 
@@ -1311,12 +1520,60 @@ mod tests {
         ];
         let wide_evals = prog.eval_multi_patched_wide::<N>(&mut wide, &chunks, &multi);
         for k in 0..N {
-            let evals =
-                prog.eval_multi_patched(&mut scalar, &scalar_words::<N>(&chunks, width, k), &multi);
+            let words = scalar_words::<N>(&chunks, width, k);
+            let evals = prog.eval_multi_patched(&mut scalar, &words, &multi);
             assert_eq!(wide_evals, evals * N as u64);
             for s in 0..prog.slot_count() {
                 assert_eq!(wide[s * N + k], scalar[s], "multi slot {s} word {k}");
             }
+            prog.eval_good(&mut good, &words);
+            faulty.copy_from_slice(&good);
+            check_event(
+                &prog,
+                &fanout,
+                &mut scratch,
+                &good,
+                &mut faulty,
+                &scalar,
+                &multi,
+            );
+        }
+
+        // A stuck value equal to the good word in all 64 lanes changes
+        // nothing, so the event kernel evaluates no instruction: `y1` and
+        // the constant are 1 whatever the inputs.
+        let words = scalar_words::<N>(&chunks, width, 0);
+        prog.eval_good(&mut good, &words);
+        faulty.copy_from_slice(&good);
+        for patch in [prog.patch_net(y1, true), prog.patch_net(one, true)] {
+            prog.eval_patched(&mut scalar, &words, patch);
+            let p = [patch];
+            let evaluated = check_event(
+                &prog,
+                &fanout,
+                &mut scratch,
+                &good,
+                &mut faulty,
+                &scalar,
+                &p,
+            );
+            assert_eq!(evaluated, 0, "{patch:?}");
+        }
+
+        // A slot patch on the constant, then another fault on the same
+        // buffer: the restore must put the constant back.
+        for patch in [prog.patch_net(one, false), prog.patch_net(y0, true)] {
+            prog.eval_patched(&mut scalar, &words, patch);
+            let p = [patch];
+            check_event(
+                &prog,
+                &fanout,
+                &mut scratch,
+                &good,
+                &mut faulty,
+                &scalar,
+                &p,
+            );
         }
     }
 
