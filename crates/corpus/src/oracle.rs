@@ -1,4 +1,4 @@
-//! The seven differential oracles the fuzzer cross-checks per circuit.
+//! The eight differential oracles the fuzzer cross-checks per circuit.
 //!
 //! Each oracle pits two implementations (or one implementation and a
 //! ground truth) against each other on the same circuit and reports a
@@ -29,12 +29,20 @@
 //!    on the same seeded stream, serial and parallel, including a
 //!    plateau-stop run that exercises the wide driver's sub-block
 //!    retraction — the differential check behind `table2 --lanes`.
+//! 8. **Atpg** — PODEM's verdicts against simulation: every generated
+//!    test, replayed through the reference interpreter with its assigned
+//!    primary inputs fixed and its don't-cares random, must detect its
+//!    fault in all 64 lanes, and every `Redundant` verdict must stay
+//!    undetected under exhaustive fault simulation — the check behind the
+//!    "detectable" denominators of Table 2.
 //!
-//! Oracles 3 and 4 need exhaustive simulation and only run when the
-//! circuit has at most [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; 1, 2,
-//! 5, 6 and 7 run on everything. Sequential circuits are checked on their
+//! Oracles 3 and 4, and oracle 8's redundancy half, need exhaustive
+//! simulation and only run when the circuit has at most
+//! [`EXHAUSTIVE_PI_LIMIT`] primary-input bits; everything else runs on
+//! every circuit. Sequential circuits are checked on their
 //! [`combinational_equivalent`](Netlist::combinational_equivalent).
 
+use bibs_faultsim::atpg::Atpg;
 use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
@@ -55,6 +63,10 @@ const RANDOM_PATTERNS: u64 = 1_024;
 /// Pattern budget per source kind for the source oracle.
 const SOURCE_PATTERNS: u64 = 256;
 
+/// PODEM backtrack limit per fault for the ATPG oracle; an aborted fault
+/// has no verdict to check.
+const ATPG_BACKTRACK_LIMIT: usize = 1_000;
+
 /// Which oracle flagged a disagreement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Oracle {
@@ -72,6 +84,8 @@ pub enum Oracle {
     Opt,
     /// Wide-word (256/512-lane) vs scalar 64-lane reports.
     Lanes,
+    /// PODEM tests and redundancy verdicts vs fault simulation.
+    Atpg,
 }
 
 impl fmt::Display for Oracle {
@@ -84,6 +98,7 @@ impl fmt::Display for Oracle {
             Oracle::Source => "source",
             Oracle::Opt => "opt",
             Oracle::Lanes => "lanes",
+            Oracle::Atpg => "atpg",
         })
     }
 }
@@ -125,6 +140,7 @@ pub fn check_all(netlist: &Netlist, seed: u64) -> Vec<Divergence> {
     out.extend(check_source(&nl, seed));
     out.extend(check_opt(&nl, &program, seed));
     out.extend(check_lanes(&nl, seed));
+    out.extend(check_atpg(&nl, &program, seed));
     if nl.input_width() <= EXHAUSTIVE_PI_LIMIT {
         out.extend(check_dominance(&nl, &program));
         out.extend(check_prover(&nl, &program));
@@ -384,6 +400,69 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
         }
     }
     out
+}
+
+/// Oracle 8: PODEM verdicts against simulation, over the structurally
+/// observable collapsed faults. Each
+/// [`AtpgResult::Test`](bibs_faultsim::atpg::AtpgResult::Test) vector is
+/// replayed through the reference interpreter as one 64-lane block — its
+/// assigned primary inputs fixed in every lane, its don't-cares random —
+/// and must flip some output in all 64 lanes. Within
+/// [`EXHAUSTIVE_PI_LIMIT`], every redundant fault must stay undetected
+/// under exhaustive fault simulation.
+pub fn check_atpg(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergence> {
+    // As in the Table 2 pipeline, PODEM sees only structurally observable
+    // faults; the dead rest would each burn the whole backtrack budget.
+    let (faults, _) = FaultUniverse::collapsed(nl).split_by_observability(program);
+    if faults.is_empty() {
+        return Vec::new();
+    }
+    let class = Atpg::new(nl).classify(&faults, ATPG_BACKTRACK_LIMIT);
+    let order = nl.levelize().expect("a compiled netlist levelizes");
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xA7B6);
+    let (mut good, mut faulty) = (vec![0u64; nl.net_count()], vec![0u64; nl.net_count()]);
+    let mut scratch = Vec::new();
+    for (fault, test) in &class.detectable {
+        let words: Vec<u64> = test
+            .iter()
+            .map(|v| v.map_or_else(|| rng.gen(), |b| if b { !0 } else { 0 }))
+            .collect();
+        bibs_faultsim::reference::eval_good(nl, &order, &words, &mut good, &mut scratch);
+        bibs_faultsim::reference::eval_faulty(
+            nl,
+            &order,
+            &words,
+            *fault,
+            &mut faulty,
+            &mut scratch,
+        );
+        let diff = nl
+            .outputs()
+            .iter()
+            .fold(0u64, |d, o| d | (good[o.index()] ^ faulty[o.index()]));
+        if diff != !0 {
+            return vec![Divergence {
+                oracle: Oracle::Atpg,
+                detail: format!(
+                    "PODEM test {test:?} for {fault} misses it in {} of 64 lanes",
+                    diff.count_zeros()
+                ),
+            }];
+        }
+    }
+    if nl.input_width() > EXHAUSTIVE_PI_LIMIT || class.redundant.is_empty() {
+        return Vec::new();
+    }
+    let report = FaultSimulator::new(nl, class.redundant.clone()).run_exhaustive();
+    for (fault, det) in class.redundant.iter().zip(report.detection()) {
+        if let Some(pattern) = det {
+            return vec![Divergence {
+                oracle: Oracle::Atpg,
+                detail: format!("PODEM proved {fault} redundant but pattern {pattern} detects it"),
+            }];
+        }
+    }
+    Vec::new()
 }
 
 /// Oracle 3: dominance-collapsed representatives expand to exactly the

@@ -11,90 +11,8 @@
 //!   cross-check the fault simulator.
 
 use crate::fault::{Fault, FaultSite};
-use bibs_netlist::analysis::Scoap;
-use bibs_netlist::{EvalProgram, GateId, GateKind, NetDriver, NetId, Netlist};
-
-/// Three-valued logic: 0, 1 or unknown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum V3 {
-    Zero,
-    One,
-    X,
-}
-
-impl V3 {
-    fn from_bool(b: bool) -> V3 {
-        if b {
-            V3::One
-        } else {
-            V3::Zero
-        }
-    }
-
-    fn known(self) -> Option<bool> {
-        match self {
-            V3::Zero => Some(false),
-            V3::One => Some(true),
-            V3::X => None,
-        }
-    }
-
-    fn not(self) -> V3 {
-        match self {
-            V3::Zero => V3::One,
-            V3::One => V3::Zero,
-            V3::X => V3::X,
-        }
-    }
-}
-
-fn eval3(kind: GateKind, inputs: &[V3]) -> V3 {
-    match kind {
-        GateKind::And | GateKind::Nand => {
-            let v = if inputs.contains(&V3::Zero) {
-                V3::Zero
-            } else if inputs.contains(&V3::X) {
-                V3::X
-            } else {
-                V3::One
-            };
-            if kind == GateKind::Nand {
-                v.not()
-            } else {
-                v
-            }
-        }
-        GateKind::Or | GateKind::Nor => {
-            let v = if inputs.contains(&V3::One) {
-                V3::One
-            } else if inputs.contains(&V3::X) {
-                V3::X
-            } else {
-                V3::Zero
-            };
-            if kind == GateKind::Nor {
-                v.not()
-            } else {
-                v
-            }
-        }
-        GateKind::Xor | GateKind::Xnor => {
-            if inputs.contains(&V3::X) {
-                V3::X
-            } else {
-                let parity = inputs.iter().filter(|&&i| i == V3::One).count() % 2 == 1;
-                let v = V3::from_bool(parity);
-                if kind == GateKind::Xnor {
-                    v.not()
-                } else {
-                    v
-                }
-            }
-        }
-        GateKind::Not => inputs[0].not(),
-        GateKind::Buf => inputs[0],
-    }
-}
+use bibs_netlist::analysis::{eval_tv, Scoap, Tv};
+use bibs_netlist::{EvalProgram, Fanout, NetDriver, NetId, Netlist, Pending};
 
 /// The outcome of PODEM on one fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,24 +46,33 @@ impl Classification {
 
 /// A PODEM test generator bound to one combinational netlist.
 ///
-/// The forward implication walk ([`Atpg::generate`]'s inner loop) runs
-/// over the compiled [`EvalProgram`] schedule: pre-resolved input and
-/// constant slots for initialization and the flat instruction stream for
-/// the 3-valued gate sweep — the same compile-once structure the fault
-/// simulators execute, lifted to the private 3-valued `V3` domain.
+/// Forward implication ([`Atpg::generate`]'s inner loop) runs over the
+/// compiled [`EvalProgram`] schedule in the `{0, 1, X}` domain of
+/// [`bibs_netlist::analysis`] ([`Tv`], [`eval_tv`]): the good and faulty
+/// machines are kept between calls and re-evaluated event-driven from
+/// the primary inputs a decision or backtrack changed, through the same
+/// [`Fanout`] index and [`Pending`] scheduler the fault simulators use.
 #[derive(Debug)]
 pub struct Atpg<'a> {
     netlist: &'a Netlist,
     program: EvalProgram,
-    /// Gates reading each net.
-    readers: Vec<Vec<GateId>>,
+    /// Slot → reading instructions.
+    fanout: Fanout,
     /// Structural SCOAP costs used to order objective/backtrace choices:
     /// when *all* inputs must reach a value the hardest one is attacked
     /// first (fail fast), when *any* input suffices the cheapest is taken.
     scoap: Scoap,
-    good: Vec<V3>,
-    faulty: Vec<V3>,
+    good: Vec<Tv>,
+    faulty: Vec<Tv>,
+    /// The fault and primary-input assignment `good`/`faulty` hold.
+    applied_fault: Option<Fault>,
+    applied: Vec<Option<bool>>,
+    pending: Pending,
     is_po: Vec<bool>,
+    /// Epoch-stamped visited set and stack of the X-path search.
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<usize>,
     /// Total PODEM backtracks across every [`Atpg::generate`] call on this
     /// generator; exported as the `podem_backtracks` telemetry counter.
     backtracks_total: u64,
@@ -161,12 +88,6 @@ impl<'a> Atpg<'a> {
     pub fn new(netlist: &'a Netlist) -> Self {
         assert_eq!(netlist.dff_count(), 0, "PODEM is combinational-only");
         let program = EvalProgram::compile(netlist).expect("acyclic netlist");
-        let mut readers = vec![Vec::new(); netlist.net_count()];
-        for gid in netlist.gate_ids() {
-            for &i in &netlist.gate(gid).inputs {
-                readers[i.index()].push(gid);
-            }
-        }
         let mut is_po = vec![false; netlist.net_count()];
         for &o in netlist.outputs() {
             is_po[o.index()] = true;
@@ -174,12 +95,18 @@ impl<'a> Atpg<'a> {
         let scoap = Scoap::compute(&program);
         Atpg {
             netlist,
+            fanout: program.fanout(),
+            pending: Pending::new(&program),
             program,
-            readers,
             scoap,
-            good: vec![V3::X; netlist.net_count()],
-            faulty: vec![V3::X; netlist.net_count()],
+            good: vec![Tv::X; netlist.net_count()],
+            faulty: vec![Tv::X; netlist.net_count()],
+            applied_fault: None,
+            applied: vec![None; netlist.input_width()],
             is_po,
+            seen: vec![0; netlist.net_count()],
+            epoch: 0,
+            stack: Vec::new(),
             backtracks_total: 0,
         }
     }
@@ -202,7 +129,7 @@ impl<'a> Atpg<'a> {
         };
         let mut best: Option<(u32, NetId)> = None;
         for &i in inputs {
-            if self.good[i.index()] != V3::X {
+            if self.good[i.index()] != Tv::X {
                 continue;
             }
             let cost = cc[i.index()];
@@ -272,71 +199,91 @@ impl<'a> Atpg<'a> {
         }
     }
 
-    /// Forward-simulates both machines from the PI assignment, walking
-    /// the compiled program's pre-resolved source lists and instruction
-    /// stream.
+    /// Brings both machines to the implication of `assignment` under
+    /// `fault`. A new fault schedules every instruction once (a full
+    /// sweep); otherwise only the readers of primary inputs whose value
+    /// differs from the last call are scheduled, and an instruction whose
+    /// good and faulty outputs do not change schedules nothing. Either way
+    /// the buffers end equal to a full sweep from the assignment.
     fn imply(&mut self, assignment: &[Option<bool>], fault: Fault) {
-        let stuck = V3::from_bool(match fault.site {
-            FaultSite::Net(_) | FaultSite::GatePin { .. } => fault.stuck_at,
-        });
-        let fault_slot = match fault.site {
-            FaultSite::Net(n) => Some(n.index()),
-            FaultSite::GatePin { .. } => None,
+        let stuck = Tv::from_bool(fault.stuck_at);
+        let (fault_slot, fault_pin) = match fault.site {
+            FaultSite::Net(n) => (Some(n.index()), None),
+            FaultSite::GatePin { gate, pin } => {
+                (None, Some((self.program.instr_of_gate(gate), pin)))
+            }
         };
-        let fault_instr = match fault.site {
-            FaultSite::GatePin { gate, pin } => Some((self.program.instr_of_gate(gate), pin)),
-            FaultSite::Net(_) => None,
-        };
+        let full = self.applied_fault != Some(fault);
+        if full {
+            self.applied_fault = Some(fault);
+            for &(slot, word) in self.program.const_inits() {
+                let v = Tv::from_bool(word != 0);
+                self.good[slot as usize] = v;
+                self.faulty[slot as usize] = if fault_slot == Some(slot as usize) {
+                    stuck
+                } else {
+                    v
+                };
+            }
+            for i in 0..self.program.instr_count() {
+                self.pending.push(i as u32);
+            }
+        }
         for (i, &slot) in self.program.input_slots().iter().enumerate() {
-            let v = assignment[i].map_or(V3::X, V3::from_bool);
-            self.good[slot as usize] = v;
-            self.faulty[slot as usize] = if fault_slot == Some(slot as usize) {
-                stuck
-            } else {
-                v
-            };
-        }
-        for &(slot, word) in self.program.const_inits() {
-            let v = V3::from_bool(word != 0);
-            self.good[slot as usize] = v;
-            self.faulty[slot as usize] = if fault_slot == Some(slot as usize) {
-                stuck
-            } else {
-                v
-            };
-        }
-        let mut gbuf: Vec<V3> = Vec::with_capacity(8);
-        let mut fbuf: Vec<V3> = Vec::with_capacity(8);
-        for pos in 0..self.program.instr_count() {
-            let instr = self.program.instr(pos);
-            gbuf.clear();
-            fbuf.clear();
-            gbuf.extend(instr.operands.iter().map(|&s| self.good[s as usize]));
-            fbuf.extend(instr.operands.iter().map(|&s| self.faulty[s as usize]));
-            if let Some((fi, pin)) = fault_instr {
-                if fi == pos {
-                    fbuf[pin] = stuck;
+            if !full && assignment[i] == self.applied[i] {
+                continue;
+            }
+            self.applied[i] = assignment[i];
+            let slot = slot as usize;
+            let v = assignment[i].map_or(Tv::X, Tv::from_bool);
+            let fv = if fault_slot == Some(slot) { stuck } else { v };
+            if (self.good[slot], self.faulty[slot]) != (v, fv) {
+                (self.good[slot], self.faulty[slot]) = (v, fv);
+                for &r in self.fanout.readers(slot) {
+                    self.pending.push(r);
                 }
             }
-            let out = instr.out as usize;
-            self.good[out] = eval3(instr.kind, &gbuf);
-            let mut fv = eval3(instr.kind, &fbuf);
-            if fault_slot == Some(out) {
-                fv = stuck;
-            }
-            self.faulty[out] = fv;
         }
+        let (program, fanout) = (&self.program, &self.fanout);
+        let (good, faulty) = (&mut self.good, &mut self.faulty);
+        self.pending.drain(|pos, pending| {
+            let instr = program.instr(pos);
+            let g = eval_tv(instr.kind, instr.operands.iter().map(|&s| good[s as usize]));
+            let ops = instr.operands.iter().enumerate();
+            let mut f = eval_tv(
+                instr.kind,
+                ops.map(|(p, &s)| {
+                    if fault_pin == Some((pos, p)) {
+                        stuck
+                    } else {
+                        faulty[s as usize]
+                    }
+                }),
+            );
+            let out = instr.out as usize;
+            if fault_slot == Some(out) {
+                f = stuck;
+            }
+            if (good[out], faulty[out]) != (g, f) {
+                (good[out], faulty[out]) = (g, f);
+                for &r in fanout.readers(out) {
+                    pending.push(r);
+                }
+            }
+        });
+        #[cfg(test)]
+        self.assert_full_sweep(assignment, fault);
     }
 
     fn error_at(&self, net: NetId) -> bool {
         matches!(
             (self.good[net.index()], self.faulty[net.index()]),
-            (V3::Zero, V3::One) | (V3::One, V3::Zero)
+            (Tv::Zero, Tv::One) | (Tv::One, Tv::Zero)
         )
     }
 
     fn unknown_at(&self, net: NetId) -> bool {
-        self.good[net.index()] == V3::X || self.faulty[net.index()] == V3::X
+        self.good[net.index()] == Tv::X || self.faulty[net.index()] == Tv::X
     }
 
     fn detected(&self) -> bool {
@@ -351,7 +298,7 @@ impl<'a> Atpg<'a> {
             FaultSite::Net(n) => n,
             FaultSite::GatePin { gate, pin } => self.netlist.gate(gate).inputs[pin],
         };
-        match self.good[site_net.index()].known() {
+        match self.good[site_net.index()].constant() {
             Some(v) => Ok(v != fault.stuck_at),
             None => Err(site_net),
         }
@@ -359,63 +306,40 @@ impl<'a> Atpg<'a> {
 
     /// Picks the next objective `(net, value)` in the good machine, or
     /// `None` at a dead end (conflict / empty D-frontier / no X-path).
-    fn objective(&self, fault: Fault) -> Option<(NetId, bool)> {
+    fn objective(&mut self, fault: Fault) -> Option<(NetId, bool)> {
         match self.activation(fault) {
             Err(net) => return Some((net, !fault.stuck_at)),
             Ok(false) => return None, // fault can no longer be activated
             Ok(true) => {}
         }
-        // Fault is activated. Find the D-frontier and check X-paths.
-        let mut frontier: Vec<GateId> = Vec::new();
-        // For a pin fault the error lives on the pin, not on any net, so
-        // the faulted gate itself joins the frontier while its output is
-        // still unknown.
-        if let FaultSite::GatePin { gate, .. } = fault.site {
-            if self.unknown_at(self.netlist.gate(gate).output) {
-                frontier.push(gate);
+        // Fault is activated. Take the first D-frontier gate with an
+        // X-path to a PO. For a pin fault the error lives on the pin, not
+        // on any net, so the faulted gate itself leads the frontier while
+        // its output is still unknown.
+        let netlist = self.netlist;
+        let gate = 'found: {
+            if let FaultSite::GatePin { gate, .. } = fault.site {
+                let out = netlist.gate(gate).output;
+                if self.unknown_at(out) && self.has_x_path(out) {
+                    break 'found gate;
+                }
             }
-        }
-        for gid in self.netlist.gate_ids() {
-            let gate = self.netlist.gate(gid);
-            if self.unknown_at(gate.output) && gate.inputs.iter().any(|&i| self.error_at(i)) {
-                frontier.push(gid);
+            for gid in netlist.gate_ids() {
+                let g = netlist.gate(gid);
+                if self.unknown_at(g.output)
+                    && g.inputs.iter().any(|&i| self.error_at(i))
+                    && self.has_x_path(g.output)
+                {
+                    break 'found gid;
+                }
             }
-        }
-        // Error may also sit directly on an unobserved net that still has an
-        // X-path through frontier gates; if the frontier is empty and no PO
-        // shows the error, we are stuck.
-        if frontier.is_empty() {
             return None;
-        }
-        // X-path check: from each frontier gate output, can unknown nets
-        // reach a PO?
-        let has_path = |start: NetId| -> bool {
-            let mut seen = vec![false; self.netlist.net_count()];
-            let mut stack = vec![start];
-            seen[start.index()] = true;
-            while let Some(n) = stack.pop() {
-                if self.is_po[n.index()] {
-                    return true;
-                }
-                for &g in &self.readers[n.index()] {
-                    let out = self.netlist.gate(g).output;
-                    if !seen[out.index()] && self.unknown_at(out) {
-                        seen[out.index()] = true;
-                        stack.push(out);
-                    }
-                }
-            }
-            false
         };
-        let gate = frontier
-            .iter()
-            .copied()
-            .find(|&g| has_path(self.netlist.gate(g).output))?;
         // Objective: set one X input of the chosen frontier gate to the
         // non-controlling value so the error propagates. All side pins
         // will eventually need the value, so attack the hardest (highest
         // SCOAP controllability) first.
-        let g = self.netlist.gate(gate);
+        let g = netlist.gate(gate);
         let (value, hardest) = match g.kind.controlling_value() {
             Some(c) => (!c, true),
             None => (false, false), // XOR-family: any settled value works
@@ -424,12 +348,41 @@ impl<'a> Atpg<'a> {
         Some((x_input, value))
     }
 
+    /// `true` when unknown nets lead from `start` to a PO.
+    fn has_x_path(&mut self, start: NetId) -> bool {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.clear();
+        stack.push(start.index());
+        self.seen[start.index()] = self.epoch;
+        let mut found = false;
+        while let Some(n) = stack.pop() {
+            if self.is_po[n] {
+                found = true;
+                break;
+            }
+            for &r in self.fanout.readers(n) {
+                let out = self.program.instr(r as usize).out as usize;
+                if self.seen[out] != self.epoch && self.unknown_at(NetId::from_index(out)) {
+                    self.seen[out] = self.epoch;
+                    stack.push(out);
+                }
+            }
+        }
+        self.stack = stack;
+        found
+    }
+
     /// Walks an objective back to an unassigned primary input.
     fn backtrace(&self, mut net: NetId, mut value: bool) -> Option<(usize, bool)> {
         loop {
             match self.netlist.driver(net) {
                 NetDriver::Input(i) => {
-                    debug_assert_eq!(self.good[net.index()], V3::X);
+                    debug_assert_eq!(self.good[net.index()], Tv::X);
                     return Some((i, value));
                 }
                 NetDriver::Gate(gid) => {
@@ -502,6 +455,57 @@ mod tests {
     use crate::fault::FaultUniverse;
     use crate::sim::{BlockSim, FaultSimulator};
     use bibs_netlist::builder::NetlistBuilder;
+
+    impl Atpg<'_> {
+        /// The full-sweep reference for [`Atpg::imply`]: both machines
+        /// evaluated over the whole program from fresh `X` buffers.
+        fn full_sweep(&self, assignment: &[Option<bool>], fault: Fault) -> (Vec<Tv>, Vec<Tv>) {
+            let n = self.netlist.net_count();
+            let (mut good, mut faulty) = (vec![Tv::X; n], vec![Tv::X; n]);
+            let stuck = Tv::from_bool(fault.stuck_at);
+            let fault_slot = match fault.site {
+                FaultSite::Net(n) => Some(n.index()),
+                FaultSite::GatePin { .. } => None,
+            };
+            let sources = self
+                .program
+                .input_slots()
+                .iter()
+                .enumerate()
+                .map(|(i, &s)| (s as usize, assignment[i].map_or(Tv::X, Tv::from_bool)));
+            let consts = self.program.const_inits().iter();
+            let consts = consts.map(|&(s, w)| (s as usize, Tv::from_bool(w != 0)));
+            for (slot, v) in sources.chain(consts) {
+                good[slot] = v;
+                faulty[slot] = if fault_slot == Some(slot) { stuck } else { v };
+            }
+            for pos in 0..self.program.instr_count() {
+                let instr = self.program.instr(pos);
+                let mut fops: Vec<Tv> =
+                    instr.operands.iter().map(|&s| faulty[s as usize]).collect();
+                if let FaultSite::GatePin { gate, pin } = fault.site {
+                    if self.program.instr_of_gate(gate) == pos {
+                        fops[pin] = stuck;
+                    }
+                }
+                let out = instr.out as usize;
+                good[out] = eval_tv(instr.kind, instr.operands.iter().map(|&s| good[s as usize]));
+                faulty[out] = if fault_slot == Some(out) {
+                    stuck
+                } else {
+                    eval_tv(instr.kind, fops)
+                };
+            }
+            (good, faulty)
+        }
+
+        /// Checks the event-driven buffers against [`Atpg::full_sweep`].
+        pub(super) fn assert_full_sweep(&self, assignment: &[Option<bool>], fault: Fault) {
+            let (good, faulty) = self.full_sweep(assignment, fault);
+            assert!(good == self.good, "good machine diverges for {fault}");
+            assert!(faulty == self.faulty, "faulty machine diverges for {fault}");
+        }
+    }
 
     fn adder4() -> Netlist {
         let mut b = NetlistBuilder::new("add4");
@@ -578,6 +582,32 @@ mod tests {
         let mut sim = FaultSimulator::new(&nl, universe.faults().to_vec());
         let report = sim.run_exhaustive();
         assert_eq!(class.detectable_count(), report.detected_count());
+    }
+
+    #[test]
+    fn classify_random_dags_with_redundant_faults() {
+        // Every `imply` is checked against the full sweep (see
+        // `assert_full_sweep`), and every verdict against exhaustive
+        // simulation.
+        let mut redundant = 0;
+        for seed in 0..24u64 {
+            let nl =
+                bibs_netlist::testgen::random_netlist_seeded(seed, 3 + (seed % 5) as usize, 30);
+            let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
+            let class = Atpg::new(&nl).classify(&faults, 10_000);
+            assert!(class.aborted.is_empty(), "{}", nl.name());
+            let report = FaultSimulator::new(&nl, faults.clone()).run_exhaustive();
+            for (fault, det) in faults.iter().zip(report.detection()) {
+                assert_eq!(
+                    det.is_none(),
+                    class.redundant.contains(fault),
+                    "{}: {fault}",
+                    nl.name()
+                );
+            }
+            redundant += class.redundant.len();
+        }
+        assert!(redundant > 0, "the DAGs include redundant faults");
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! The structural lint passes (`bibs-lint` B00x/B01x/B02x) check *shape*;
 //! this module checks *meaning*. Everything here runs on the flat compiled
 //! instruction stream — one forward sweep is a single pass over
-//! [`EvalProgram::instrs`], one backward sweep a single pass in reverse —
-//! so the analyses inherit the IR's determinism and cost model.
+//! [`EvalProgram::instrs`], one backward sweep a single pass in reverse,
+//! and case splitting re-evaluates event-driven through the program's
+//! [`Fanout`] index — so the analyses inherit the IR's determinism and
+//! cost model.
 //!
 //! Four cooperating analyses:
 //!
@@ -13,7 +15,8 @@
 //!   primary-input assumption ([`PiAssumption`]). A bounded implication
 //!   step (single-stem 0/1 case splitting — recursive learning of depth
 //!   one) proves reconvergent constants like `xor(f, f) = 0` that plain
-//!   propagation cannot see.
+//!   propagation cannot see. Each branch of a split evaluates only the
+//!   instructions the assumed stem value actually changes.
 //! * **SCOAP testability costs** ([`Scoap`]): combinational 0/1
 //!   controllability in one forward sweep and observability in one
 //!   backward sweep. Seeded with ternary constants, an infinite cost
@@ -65,7 +68,7 @@
 //! # }
 //! ```
 
-use crate::compiled::EvalProgram;
+use crate::compiled::{EvalProgram, Fanout, Pending};
 use crate::netlist::GateKind;
 use std::fmt;
 use std::ops::Not;
@@ -201,10 +204,12 @@ pub enum PiAssumption {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisOptions {
     /// How many rounds of single-stem 0/1 case splitting to run after the
-    /// initial propagation (each round scans every `X`-valued slot with at
-    /// least two operand readers). `0` disables the bounded-implication
-    /// step; the default is `1`, which already proves all reconvergent
-    /// single-stem redundancies (`xor(f, f)`, `and(a, not a)`, …).
+    /// initial propagation (each round splits, in slot order, every slot
+    /// still `X` with at least two operand readers, and each branch
+    /// re-evaluates only the instructions the stem's value reaches). `0`
+    /// disables the bounded-implication step; the default is `1`, which
+    /// already proves all reconvergent single-stem redundancies
+    /// (`xor(f, f)`, `and(a, not a)`, …).
     pub split_rounds: usize,
 }
 
@@ -316,8 +321,9 @@ pub fn ternary_analyze_traced(
 /// (tied nets) and `X` (flip-flop Q slots — unknown state); then the
 /// stream is propagated forward, followed by `options.split_rounds` rounds
 /// of single-stem case splitting: every `X`-valued slot read by two or
-/// more operand pins is assumed `0` and `1` in turn, the downstream suffix
-/// re-evaluated under each assumption, and the branch results joined. A
+/// more operand pins is assumed `0` and `1` in turn, the instructions that
+/// assumption changes re-evaluated event-driven, and the branch results
+/// joined. A
 /// non-`X` join is a proven constant (recorded with the stem as witness
 /// provenance) even though plain propagation saw only `X`.
 ///
@@ -365,9 +371,15 @@ pub fn ternary_analyze_with(
     propagate(program, &mut values, &split_from, 0);
 
     if options.split_rounds > 0 {
-        let readers = program.slot_readers();
+        let fanout = program.fanout();
+        let mut pin_reads = vec![0u32; n];
+        for instr in program.instrs() {
+            for &s in instr.operands {
+                pin_reads[s as usize] += 1;
+            }
+        }
         for _ in 0..options.split_rounds {
-            let refined = split_round(program, &mut values, &mut split_from, &readers);
+            let refined = split_round(program, &fanout, &pin_reads, &mut values, &mut split_from);
             // Push split-derived constants through the whole stream.
             propagate(program, &mut values, &split_from, 0);
             if refined == 0 {
@@ -405,40 +417,64 @@ fn patterns_join(program: &EvalProgram, blocks: &[Vec<u64>]) -> Vec<Tv> {
 
 /// One round of single-stem case splitting. Returns how many slots gained
 /// a constant.
+///
+/// Event-driven: each branch buffer equals `values` between stems, so a
+/// branch seeds only the stem's readers and evaluates only instructions
+/// an operand change reaches; only slots written in both branches can
+/// join to a new constant, and only written slots are restored. This
+/// equals re-sweeping the whole suffix from the stem's first reader
+/// because `values` stays a fixpoint of [`propagate`] after every stem:
+/// ternary evaluation is monotone, so any reader a refinement would
+/// change already changed, to the same constant, in both branches of
+/// the stem that refined it.
 fn split_round(
     program: &EvalProgram,
+    fanout: &Fanout,
+    pin_reads: &[u32],
     values: &mut [Tv],
     split_from: &mut [Option<u32>],
-    readers: &[Vec<(u32, u32)>],
 ) -> usize {
     let mut refined = 0usize;
-    let mut b0 = Vec::new();
-    let mut b1 = Vec::new();
+    let mut pending = Pending::new(program);
+    let mut branches = [(values.to_vec(), Vec::new()), (values.to_vec(), Vec::new())];
     for stem in 0..values.len() {
-        if values[stem] != Tv::X || readers[stem].len() < 2 {
+        if values[stem] != Tv::X || pin_reads[stem] < 2 {
             continue;
         }
-        // `readers` lists occurrences in schedule order, so the first
-        // entry is the earliest instruction that can change.
-        let first = readers[stem][0].0 as usize;
-        b0.clear();
-        b0.extend_from_slice(values);
-        b0[stem] = Tv::Zero;
-        propagate(program, &mut b0, split_from, first);
-        b1.clear();
-        b1.extend_from_slice(values);
-        b1[stem] = Tv::One;
-        propagate(program, &mut b1, split_from, first);
-        for i in first..program.instr_count() {
-            let out = program.instr(i).out as usize;
-            if values[out] != Tv::X {
-                continue;
+        for ((b, touched), v) in branches.iter_mut().zip([Tv::Zero, Tv::One]) {
+            b[stem] = v;
+            touched.push(stem as u32);
+            for &r in fanout.readers(stem) {
+                pending.push(r);
             }
-            let joined = b0[out].join(b1[out]);
-            if joined != Tv::X {
-                values[out] = joined;
-                split_from[out] = Some(stem as u32);
+            pending.drain(|i, pending| {
+                let instr = program.instr(i);
+                let v = eval_tv(instr.kind, instr.operands.iter().map(|&s| b[s as usize]));
+                let out = instr.out as usize;
+                // The keep rule of `propagate`: a proven constant never
+                // degrades to X.
+                if v != b[out] && !(v == Tv::X && split_from[out].is_some()) {
+                    b[out] = v;
+                    touched.push(out as u32);
+                    for &r in fanout.readers(out) {
+                        pending.push(r);
+                    }
+                }
+            });
+        }
+        let [(b0, touched0), (b1, _)] = &branches;
+        for &s in touched0 {
+            let s = s as usize;
+            let joined = b0[s].join(b1[s]);
+            if values[s] == Tv::X && joined != Tv::X {
+                values[s] = joined;
+                split_from[s] = Some(stem as u32);
                 refined += 1;
+            }
+        }
+        for (b, touched) in &mut branches {
+            for s in touched.drain(..) {
+                b[s as usize] = values[s as usize];
             }
         }
     }
@@ -1196,6 +1232,132 @@ mod tests {
 
     fn compile(nl: &Netlist) -> EvalProgram {
         EvalProgram::compile(nl).unwrap()
+    }
+
+    /// The full-sweep reference for [`split_round`]: every stem copies the
+    /// whole value vector per branch and re-propagates the suffix from its
+    /// first reader.
+    fn split_round_full(
+        program: &EvalProgram,
+        values: &mut [Tv],
+        split_from: &mut [Option<u32>],
+        readers: &[Vec<(u32, u32)>],
+    ) -> usize {
+        let mut refined = 0usize;
+        let mut b0 = Vec::new();
+        let mut b1 = Vec::new();
+        for stem in 0..values.len() {
+            if values[stem] != Tv::X || readers[stem].len() < 2 {
+                continue;
+            }
+            // `readers` lists occurrences in schedule order, so the first
+            // entry is the earliest instruction that can change.
+            let first = readers[stem][0].0 as usize;
+            b0.clear();
+            b0.extend_from_slice(values);
+            b0[stem] = Tv::Zero;
+            propagate(program, &mut b0, split_from, first);
+            b1.clear();
+            b1.extend_from_slice(values);
+            b1[stem] = Tv::One;
+            propagate(program, &mut b1, split_from, first);
+            for i in first..program.instr_count() {
+                let out = program.instr(i).out as usize;
+                if values[out] != Tv::X {
+                    continue;
+                }
+                let joined = b0[out].join(b1[out]);
+                if joined != Tv::X {
+                    values[out] = joined;
+                    split_from[out] = Some(stem as u32);
+                    refined += 1;
+                }
+            }
+        }
+        refined
+    }
+
+    /// [`ternary_analyze_with`] with every round run by
+    /// [`split_round_full`].
+    fn ternary_analyze_full(
+        program: &EvalProgram,
+        assumption: &PiAssumption,
+        split_rounds: usize,
+    ) -> TernaryAbs {
+        let options = AnalysisOptions { split_rounds: 0 };
+        let mut abs = ternary_analyze_with(program, assumption, options);
+        let readers = program.slot_readers();
+        for _ in 0..split_rounds {
+            let refined = split_round_full(program, &mut abs.values, &mut abs.split_from, &readers);
+            propagate(program, &mut abs.values, &abs.split_from, 0);
+            if refined == 0 {
+                break;
+            }
+        }
+        abs
+    }
+
+    /// `a - a` as `a + not(a) + 1`: every difference bit is constant 0,
+    /// each provable only by splitting a fanout stem.
+    fn self_difference(width: usize) -> Netlist {
+        let mut b = NetlistBuilder::new("a_minus_a");
+        let a = b.input_word("a", width);
+        let na: Vec<_> = a.iter().map(|&x| b.not(x)).collect();
+        let one = b.const1();
+        let (diff, borrow) = b.ripple_carry_adder(&a, &na, Some(one));
+        b.output_word("d", &diff);
+        b.output("c", borrow);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn event_split_equals_full_sweep_split() {
+        let mut b = NetlistBuilder::new("xff");
+        let a = b.input("a");
+        let f = b.input("f");
+        let x = b.xor2(f, f);
+        let y = b.and2(a, x);
+        b.output("y", y);
+        let mut fixtures = vec![b.finish().unwrap(), self_difference(4), self_difference(9)];
+        for seed in 0..48u64 {
+            let inputs = 2 + (seed % 7) as usize;
+            let ops = 8 + (seed * 13 % 90) as usize;
+            fixtures.push(crate::testgen::random_netlist_seeded(seed, inputs, ops));
+        }
+        let mut split_constants = 0;
+        for nl in &fixtures {
+            let prog = compile(nl);
+            let width = prog.input_slots().len();
+            let pinned = (0..width)
+                .map(|i| (i % 3 == 0).then_some(i % 2 == 0))
+                .collect();
+            for assumption in [PiAssumption::AllX, PiAssumption::Pinned(pinned)] {
+                for split_rounds in 1..=3 {
+                    let options = AnalysisOptions { split_rounds };
+                    let event = ternary_analyze_with(&prog, &assumption, options);
+                    let full = ternary_analyze_full(&prog, &assumption, split_rounds);
+                    assert_eq!(
+                        event,
+                        full,
+                        "{} {assumption:?} rounds {split_rounds}",
+                        nl.name()
+                    );
+                    split_constants += event.split_count();
+                }
+            }
+        }
+        let diff = self_difference(4);
+        let abs = ternary_analyze(&compile(&diff), &PiAssumption::AllX);
+        for &o in diff.outputs() {
+            assert!(
+                abs.constant(o.index()).is_some(),
+                "a - a has constant outputs"
+            );
+        }
+        assert!(
+            split_constants > 100,
+            "the fixtures exercise case splitting"
+        );
     }
 
     #[test]

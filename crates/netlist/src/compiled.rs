@@ -26,8 +26,10 @@
 //!   ([`EvalProgram::propagate_patched`]): starting from the good
 //!   machine's buffer, it evaluates only the instructions a patch's
 //!   difference reaches, scheduled from the slot fan-out index
-//!   ([`Fanout`]), and [`EventScratch::restore`] puts the touched slots
-//!   back. The full-program kernels remain its reference.
+//!   ([`Fanout`]) through a [`Pending`] set, and [`EventScratch::restore`]
+//!   puts the touched slots back. The full-program kernels remain its
+//!   reference. The ternary analyses (case splitting, PODEM implication)
+//!   schedule through the same [`Fanout`] and [`Pending`].
 //!
 //! *Slots* are net indices: slot `i` of a value buffer holds the 64-lane
 //! word of net `NetId::from_index(i)`. This keeps the compiled engine
@@ -157,8 +159,74 @@ pub struct Fanout {
 impl Fanout {
     /// The instructions reading `slot`, in ascending index.
     #[inline]
-    fn readers(&self, slot: usize) -> &[u32] {
+    pub fn readers(&self, slot: usize) -> &[u32] {
         &self.readers[self.start[slot] as usize..self.start[slot + 1] as usize]
+    }
+}
+
+/// The event scheduler shared by every event-driven evaluator: a set of
+/// pending instruction indices, drained in ascending index. The schedule
+/// is topological, so once a caller pushes only readers of slots it
+/// changed, each instruction is evaluated at most once per propagation,
+/// after all of its changed operands. Empty between propagations.
+#[derive(Debug, Clone)]
+pub struct Pending {
+    bits: Vec<u64>,
+    /// Pending instructions live in words `lo..=hi`.
+    lo: usize,
+    hi: usize,
+}
+
+impl Default for Pending {
+    fn default() -> Self {
+        Pending {
+            bits: Vec::new(),
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+}
+
+impl Pending {
+    /// An empty set able to hold the instructions of `program`.
+    pub fn new(program: &EvalProgram) -> Pending {
+        let mut pending = Pending::default();
+        pending.reserve(program);
+        pending
+    }
+
+    /// Grows the set to hold the instructions of `program`.
+    #[inline]
+    fn reserve(&mut self, program: &EvalProgram) {
+        let words = program.instr_count().div_ceil(64);
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
+        }
+    }
+
+    /// Schedules instruction `i`; a no-op when it is already pending.
+    #[inline(always)]
+    pub fn push(&mut self, i: u32) {
+        let w = (i >> 6) as usize;
+        self.bits[w] |= 1u64 << (i & 63);
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w);
+    }
+
+    /// Pops every pending instruction in ascending order, calling
+    /// `visit(i, self)` on each; `visit` may push instructions above `i`.
+    #[inline(always)]
+    pub fn drain(&mut self, mut visit: impl FnMut(usize, &mut Pending)) {
+        let mut w = self.lo;
+        while w <= self.hi {
+            while self.bits[w] != 0 {
+                let bits = self.bits[w];
+                self.bits[w] = bits & (bits - 1);
+                visit((w << 6) | bits.trailing_zeros() as usize, self);
+            }
+            w += 1;
+        }
+        (self.lo, self.hi) = (usize::MAX, 0);
     }
 }
 
@@ -167,7 +235,7 @@ impl Fanout {
 /// slots the current fault has written.
 #[derive(Debug, Clone, Default)]
 pub struct EventScratch {
-    pending: Vec<u64>,
+    pending: Pending,
     touched: Vec<u32>,
 }
 
@@ -641,20 +709,10 @@ impl EvalProgram {
         patches: &[Patch],
     ) -> u64 {
         debug_assert!(scratch.touched.is_empty(), "restore before the next fault");
-        let words = self.ops.len().div_ceil(64);
-        if scratch.pending.len() < words {
-            scratch.pending.resize(words, 0);
-        }
-        let EventScratch { pending, touched } = scratch;
-        // Pending instructions live in words `lo..=hi`.
-        let (mut lo, mut hi) = (usize::MAX, 0usize);
-        #[inline(always)]
-        fn schedule(pending: &mut [u64], lo: &mut usize, hi: &mut usize, i: u32) {
-            let w = (i >> 6) as usize;
-            pending[w] |= 1u64 << (i & 63);
-            *lo = (*lo).min(w);
-            *hi = (*hi).max(w);
-        }
+        // A local copy of the set keeps its word bounds in registers.
+        let mut pending = std::mem::take(&mut scratch.pending);
+        pending.reserve(self);
+        let touched = &mut scratch.touched;
 
         for p in patches {
             if let Patch::Slot { slot, word } = *p {
@@ -663,12 +721,12 @@ impl EvalProgram {
                     values[s] = word;
                     touched.push(slot);
                     for &r in fanout.readers(s) {
-                        schedule(pending, &mut lo, &mut hi, r);
+                        pending.push(r);
                     }
                     // A forced gate-driven slot is overwritten by its
                     // writer, exactly as in the full-program kernel.
                     if self.instr_of_slot[s] != NO_INSTR {
-                        schedule(pending, &mut lo, &mut hi, self.instr_of_slot[s]);
+                        pending.push(self.instr_of_slot[s]);
                     }
                 }
             }
@@ -685,7 +743,7 @@ impl EvalProgram {
                 }
             };
             if let (true, Some(i)) = (changes, patch_instr(p)) {
-                schedule(pending, &mut lo, &mut hi, i as u32);
+                pending.push(i as u32);
             }
         }
 
@@ -693,34 +751,28 @@ impl EvalProgram {
         // Cursor into `patches`: the first patch not on an instruction
         // below the one popped (pops ascend, so it only moves forward).
         let mut k = 0usize;
-        let mut w = lo;
-        while w <= hi {
-            while pending[w] != 0 {
-                let bits = pending[w];
-                pending[w] = bits & (bits - 1);
-                let i = (w << 6) | bits.trailing_zeros() as usize;
-                while k < patches.len() && patch_instr(&patches[k]).is_none_or(|pi| pi < i) {
-                    k += 1;
-                }
-                let word = if k < patches.len() && patch_instr(&patches[k]) == Some(i) {
-                    let (word, was_evaluated, _) = self.patched_word(values, i, &patches[k..]);
-                    evaluated += u64::from(was_evaluated);
-                    word
-                } else {
-                    evaluated += 1;
-                    self.eval_instr(values, i)
-                };
-                let out = self.out_slot[i] as usize;
-                if values[out] != word {
-                    values[out] = word;
-                    touched.push(out as u32);
-                    for &r in fanout.readers(out) {
-                        schedule(pending, &mut lo, &mut hi, r);
-                    }
+        pending.drain(|i, pending| {
+            while k < patches.len() && patch_instr(&patches[k]).is_none_or(|pi| pi < i) {
+                k += 1;
+            }
+            let word = if k < patches.len() && patch_instr(&patches[k]) == Some(i) {
+                let (word, was_evaluated, _) = self.patched_word(values, i, &patches[k..]);
+                evaluated += u64::from(was_evaluated);
+                word
+            } else {
+                evaluated += 1;
+                self.eval_instr(values, i)
+            };
+            let out = self.out_slot[i] as usize;
+            if values[out] != word {
+                values[out] = word;
+                touched.push(out as u32);
+                for &r in fanout.readers(out) {
+                    pending.push(r);
                 }
             }
-            w += 1;
-        }
+        });
+        scratch.pending = pending;
         evaluated
     }
 

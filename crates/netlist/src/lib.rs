@@ -47,7 +47,7 @@ pub mod verilog;
 
 mod netlist;
 
-pub use compiled::{EvalProgram, EventScratch, Fanout, Instr, Patch};
+pub use compiled::{EvalProgram, EventScratch, Fanout, Instr, Patch, Pending};
 pub use netlist::{
     Dff, DffId, Gate, GateId, GateKind, Net, NetDriver, NetId, Netlist, NetlistError,
 };
