@@ -133,9 +133,10 @@ strip_wall() { sed 's/"wall_ns":[0-9]*,//g' "$1"; }
 diff <(strip_wall /tmp/bibs-telemetry-j1.json) <(strip_wall /tmp/bibs-telemetry-j8.json)
 
 step "telemetry perf-regression gate (perfdiff vs committed BENCH_table2.json)"
-# The baseline predates the PatternSource refactor, and perfdiff compares
-# counter maps with hard equality — passing proves the refactored driver
-# added no recorder traffic or extra work to the default hot path.
+# perfdiff compares counter maps with hard equality against the committed
+# baseline (last re-recorded when the event-driven faulty machine changed
+# gate_evals) — passing proves the default hot path does the same work and
+# records the same counters.
 cargo run --release -p bibs-bench --bin perfdiff -- \
   BENCH_table2.json /tmp/bibs-telemetry-j8.json
 

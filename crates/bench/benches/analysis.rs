@@ -6,7 +6,8 @@
 //! records the resulting shrink and wall-clock ratios.
 
 use bibs_faultsim::fault::{DominanceCollapse, FaultUniverse, StaticFaultAnalysis};
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::par::ParFaultSimulator;
+use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::analysis::{ternary_analyze, PiAssumption, Scoap};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
@@ -91,7 +92,7 @@ fn bench_payoff(c: &mut Criterion) {
         b.iter_batched(
             || {
                 (
-                    FaultSimulator::new(&nl, to_sim.clone()),
+                    ParFaultSimulator::with_threads(&nl, to_sim.clone(), 1),
                     StdRng::seed_from_u64(3),
                 )
             },
@@ -103,7 +104,7 @@ fn bench_payoff(c: &mut Criterion) {
         b.iter_batched(
             || {
                 (
-                    FaultSimulator::new(&nl, dc.representative_faults()),
+                    ParFaultSimulator::with_threads(&nl, dc.representative_faults(), 1),
                     StdRng::seed_from_u64(3),
                 )
             },

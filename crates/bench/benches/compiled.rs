@@ -8,7 +8,7 @@
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -60,7 +60,7 @@ fn bench_good_eval(c: &mut Criterion) {
 }
 
 /// Full good+faulty block throughput (the table2 inner loop): interpreted
-/// reference vs compiled serial vs compiled parallel.
+/// reference vs the compiled engine at one thread and at several.
 fn bench_engines(c: &mut Criterion) {
     let nl = multiplier(8);
     let universe = FaultUniverse::collapsed(&nl);
@@ -84,7 +84,7 @@ fn bench_engines(c: &mut Criterion) {
         b.iter_batched(
             || {
                 (
-                    FaultSimulator::new(&nl, observable.clone()),
+                    ParFaultSimulator::with_threads(&nl, observable.clone(), 1),
                     StdRng::seed_from_u64(3),
                 )
             },

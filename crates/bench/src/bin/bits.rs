@@ -31,7 +31,7 @@
 //! simulations (wide PPSFP sweeps; identical results, higher
 //! gate-evals/s).
 
-use bibs_bench::{kernel_fault_stats_traced, SourceSpec, Table2Options, Telemetry};
+use bibs_bench::{kernel_fault_stats_traced, BenchArgs, Table2Options, Tdm, Telemetry};
 use bibs_core::bibs::{self, BibsOptions};
 use bibs_core::controller;
 use bibs_core::delay::maximal_delay;
@@ -50,71 +50,18 @@ use bibs_rtl::{Circuit, VertexKind};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let telemetry_path = args.iter().position(|a| a == "--telemetry").map(|i| {
-        if i + 1 >= args.len() {
-            eprintln!("bits: --telemetry needs an output path");
-            std::process::exit(2);
-        }
-        let p = std::path::PathBuf::from(args.remove(i + 1));
-        args.remove(i);
-        p
+    let flags = ["--tdm", "--source", "--opt", "--lanes", "--telemetry"];
+    let args = BenchArgs::parse(std::env::args().skip(1), &flags).unwrap_or_else(|e| {
+        eprintln!("bits: {e}");
+        std::process::exit(2);
     });
-    let opt = args
-        .iter()
-        .position(|a| a == "--opt")
-        .map(|i| {
-            args.remove(i);
-        })
-        .is_some();
-    let lanes = args
-        .iter()
-        .position(|a| a == "--lanes")
-        .map(|i| {
-            if i + 1 >= args.len() {
-                eprintln!("bits: --lanes needs a value");
-                std::process::exit(2);
-            }
-            let value = args.remove(i + 1);
-            args.remove(i);
-            match value.parse() {
-                Ok(l @ (64 | 256 | 512)) => l,
-                _ => {
-                    eprintln!("bits: --lanes expects 64, 256 or 512 (got '{value}')");
-                    std::process::exit(2);
-                }
-            }
-        })
-        .unwrap_or(64);
-    let source = args.iter().position(|a| a == "--source").map(|i| {
-        if i + 1 >= args.len() {
-            eprintln!("bits: --source needs a value");
-            std::process::exit(2);
-        }
-        let spec: SourceSpec = args.remove(i + 1).parse().unwrap_or_else(|e| {
-            eprintln!("bits: {e}");
-            std::process::exit(2);
-        });
-        if let Err(e) = spec.preflight() {
-            eprintln!("bits: {e}");
-            std::process::exit(2);
-        }
-        args.remove(i);
-        spec
-    });
-    let Some(path) = args.first() else {
+    let Some(path) = args.positional.first() else {
         eprintln!(
             "usage: bits <circuit.{{ckt,bench}}> [--tdm bibs|ka85] [--source SPEC] \
              [--opt] [--lanes 64|256|512] [--telemetry out.json]"
         );
         return ExitCode::FAILURE;
     };
-    let tdm = args
-        .iter()
-        .position(|a| a == "--tdm")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("bibs");
 
     let loaded = match bibs_datapath::front::load_path(std::path::Path::new(path)) {
         Ok(l) => l,
@@ -131,9 +78,9 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     };
-    let telemetry = Telemetry::new(telemetry_path);
+    let telemetry = Telemetry::new(args.telemetry);
     let mut rec = telemetry.recorder("bits");
-    let outcome = run(&circuit, tdm, source.as_ref(), opt, lanes, &mut rec);
+    let outcome = run(&circuit, args.tdm, &args.options, &mut rec);
     if let Err(e) = telemetry.emit(&mut rec) {
         eprintln!("bits: {e}");
         return ExitCode::FAILURE;
@@ -149,10 +96,8 @@ fn main() -> ExitCode {
 
 fn run(
     circuit: &Circuit,
-    tdm: &str,
-    source: Option<&SourceSpec>,
-    opt: bool,
-    lanes: usize,
+    tdm: Tdm,
+    options: &Table2Options,
     rec: &mut Recorder,
 ) -> Result<(), Box<dyn std::error::Error>> {
     println!("== BITS flow for circuit {} ==", circuit.name());
@@ -178,8 +123,8 @@ fn run(
 
     // 1. Register selection.
     let (circuit, design): (Circuit, BilboDesign) = match tdm {
-        "ka85" => (circuit.clone(), ka85::select(circuit)?),
-        _ => {
+        Tdm::Ka85 => (circuit.clone(), ka85::select(circuit)?),
+        Tdm::Bibs => {
             let r = bibs::select(circuit, &BibsOptions::default())?;
             (r.circuit, r.design)
         }
@@ -203,8 +148,12 @@ fn run(
         .chain(&design.cbilbo)
         .filter_map(|&e| circuit.edge(e).name.clone())
         .collect();
+    let tdm_name = match tdm {
+        Tdm::Bibs => "bibs",
+        Tdm::Ka85 => "ka85",
+    };
     println!(
-        "\nselection ({tdm}): {} registers ({} flip-flops): {:?}",
+        "\nselection ({tdm_name}): {} registers ({} flip-flops): {:?}",
         design.register_count(),
         design.flip_flop_count(&circuit),
         names
@@ -270,15 +219,12 @@ fn run(
         patterns.push(budget);
         // Optional coverage-vs-clocks estimate: fault-simulate the kernel
         // with the requested pattern source under a bounded budget.
-        if let Some(spec) = source {
+        if let Some(spec) = &options.source {
             let opts = Table2Options {
                 max_patterns: 65_536,
                 plateau: 65_536,
                 backtrack_limit: 1_000,
-                source: Some(spec.clone()),
-                opt,
-                lanes,
-                ..Table2Options::default()
+                ..options.clone()
             };
             let stats = rec.scope(format!("source-coverage[kernel {i}]"), |rec| {
                 kernel_fault_stats_traced(&circuit, &design, kernel, &opts, rec)

@@ -23,57 +23,16 @@
 //! tree or aggregate counters to stderr. The CSV is byte-identical across
 //! collapse modes.
 
-use bibs_bench::{
-    apply_tdm, kernel_fault_stats_traced, CollapseMode, SourceSpec, Table2Options, Tdm, Telemetry,
-};
+use bibs_bench::{apply_tdm, kernel_fault_stats_traced, BenchArgs, Tdm, Telemetry};
 use bibs_datapath::filters::scaled;
 
 fn main() {
-    let mut positional: Vec<String> = Vec::new();
-    let mut collapse = CollapseMode::Equiv;
-    let mut source: Option<SourceSpec> = None;
-    let mut opt = false;
-    let mut lanes: usize = 64;
-    let mut telemetry_path: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--opt" {
-            opt = true;
-        } else if arg == "--lanes" {
-            let value = args.next().unwrap_or_default();
-            lanes = match value.parse() {
-                Ok(l @ (64 | 256 | 512)) => l,
-                _ => {
-                    eprintln!("--lanes expects 64, 256 or 512 (got '{value}')");
-                    std::process::exit(2);
-                }
-            };
-        } else if arg == "--collapse" {
-            let value = args.next().unwrap_or_default();
-            collapse = value.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-        } else if arg == "--source" {
-            let value = args.next().unwrap_or_default();
-            let spec: SourceSpec = value.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-            if let Err(e) = spec.preflight() {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-            source = Some(spec);
-        } else if arg == "--telemetry" {
-            telemetry_path = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                eprintln!("--telemetry needs an output path");
-                std::process::exit(2);
-            })));
-        } else {
-            positional.push(arg);
-        }
-    }
+    let flags = ["--opt", "--lanes", "--collapse", "--source", "--telemetry"];
+    let args = BenchArgs::parse(std::env::args().skip(1), &flags).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let positional = &args.positional;
     let name = positional.first().map(String::as_str).unwrap_or("c5a2m");
     let width: u32 = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(4);
     // A path to an existing file loads through the format front door (and
@@ -96,15 +55,9 @@ fn main() {
     } else {
         scaled(name, width)
     };
-    let options = Table2Options {
-        collapse,
-        source,
-        opt,
-        lanes,
-        ..Table2Options::default()
-    };
+    let options = args.options;
 
-    let telemetry = Telemetry::new(telemetry_path);
+    let telemetry = Telemetry::new(args.telemetry);
     let mut rec = telemetry.recorder("coverage");
 
     println!("tdm,patterns,detected,detectable,coverage");

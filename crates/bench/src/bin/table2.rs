@@ -49,99 +49,33 @@
 //! cores); the results — and every exported telemetry counter — are
 //! bit-identical for any thread count, engine, and collapse mode.
 
-use bibs_bench::{
-    render_table2, table2_column_traced, table2_json, CollapseMode, Engine, SourceSpec,
-    Table2Options, Tdm, Telemetry,
-};
+use bibs_bench::{render_table2, table2_column_traced, table2_json, BenchArgs, Tdm, Telemetry};
 use bibs_datapath::filters::scaled;
 
 fn main() {
+    let flags = [
+        "--json",
+        "--opt",
+        "--lanes",
+        "--engine",
+        "--collapse",
+        "--source",
+        "--only",
+        "--circuit",
+        "--telemetry",
+    ];
+    let args = BenchArgs::parse(std::env::args().skip(1), &flags).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     let mut width: u32 = 8;
-    let mut json = false;
-    let mut engine = Engine::Compiled;
-    let mut collapse = CollapseMode::Equiv;
-    let mut source: Option<SourceSpec> = None;
-    let mut opt = false;
-    let mut lanes: usize = 64;
-    let mut only: Option<String> = None;
-    let mut circuit_path: Option<std::path::PathBuf> = None;
-    let mut telemetry_path: Option<std::path::PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--opt" => opt = true,
-            "--lanes" => {
-                let value = args.next().unwrap_or_default();
-                lanes = match value.parse() {
-                    Ok(l @ (64 | 256 | 512)) => l,
-                    _ => {
-                        eprintln!("--lanes expects 64, 256 or 512 (got '{value}')");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--telemetry" => {
-                telemetry_path = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--telemetry needs an output path");
-                    std::process::exit(2);
-                })));
-            }
-            "--engine" => {
-                let value = args.next().unwrap_or_default();
-                engine = value.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--collapse" => {
-                let value = args.next().unwrap_or_default();
-                collapse = value.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--source" => {
-                let value = args.next().unwrap_or_default();
-                let spec: SourceSpec = value.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-                if let Err(e) = spec.preflight() {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-                source = Some(spec);
-            }
-            "--only" => {
-                only = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--only needs a circuit name");
-                    std::process::exit(2);
-                }));
-            }
-            "--circuit" => {
-                circuit_path = Some(std::path::PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--circuit needs a file path");
-                    std::process::exit(2);
-                })));
-            }
-            other => match other.parse() {
-                Ok(w) => width = w,
-                Err(_) => {
-                    eprintln!("unknown argument '{other}'");
-                    std::process::exit(2);
-                }
-            },
-        }
+    for arg in &args.positional {
+        width = arg.parse().unwrap_or_else(|_| {
+            eprintln!("unknown argument '{arg}'");
+            std::process::exit(2);
+        });
     }
-    let options = Table2Options {
-        engine,
-        collapse,
-        source,
-        opt,
-        lanes,
-        ..Table2Options::default()
-    };
+    let options = args.options;
     eprintln!(
         "fault-simulating with the {} engine on {} worker thread(s) (set BIBS_JOBS to override), \
          collapse mode {}, source {}",
@@ -153,7 +87,7 @@ fn main() {
             .as_ref()
             .map_or_else(|| "default".to_string(), |s| s.to_string())
     );
-    let circuits: Vec<bibs_rtl::Circuit> = if let Some(path) = &circuit_path {
+    let circuits: Vec<bibs_rtl::Circuit> = if let Some(path) = &args.circuit {
         let loaded = bibs_datapath::front::load_path(path).unwrap_or_else(|e| {
             eprintln!("cannot load {}: {e}", path.display());
             std::process::exit(2);
@@ -173,7 +107,7 @@ fn main() {
     } else {
         let names: Vec<&str> = ["c5a2m", "c3a2m", "c4a4m"]
             .into_iter()
-            .filter(|n| only.as_deref().is_none_or(|o| o == *n))
+            .filter(|n| args.only.as_deref().is_none_or(|o| o == *n))
             .collect();
         if names.is_empty() {
             eprintln!("--only matched no circuit (expected one of c5a2m, c3a2m, c4a4m)");
@@ -181,7 +115,7 @@ fn main() {
         }
         names.into_iter().map(|n| scaled(n, width)).collect()
     };
-    let telemetry = Telemetry::new(telemetry_path);
+    let telemetry = Telemetry::new(args.telemetry);
     let mut rec = telemetry.recorder("table2");
     let mut columns = Vec::new();
     for circuit in &circuits {
@@ -203,7 +137,7 @@ fn main() {
         eprintln!("table2: {e}");
         std::process::exit(1);
     }
-    if json {
+    if args.json {
         print!("{}", table2_json(&columns));
         return;
     }

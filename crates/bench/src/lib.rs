@@ -29,7 +29,7 @@ use bibs_faultsim::atpg::Atpg;
 use bibs_faultsim::fault::{DominanceCollapse, Fault, FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::{default_jobs, ParFaultSimulator};
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::BlockSim;
+use bibs_faultsim::sim::{BlockSim, FaultSimReport};
 use bibs_faultsim::source::{
     LfsrSource, PatternSource, RandomWords, StoredSeedReplay, WeightedRandomSource,
 };
@@ -38,8 +38,6 @@ use bibs_netlist::opt::{optimize_traced, OptStats};
 use bibs_netlist::EvalProgram;
 use bibs_obs::{CounterId, Recorder, TraceMode};
 use bibs_rtl::{Circuit, VertexKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -50,6 +48,18 @@ pub enum Tdm {
     Bibs,
     /// The Krasniewski–Albicki baseline (reference \[3\]).
     Ka85,
+}
+
+impl std::str::FromStr for Tdm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "bibs" => Ok(Tdm::Bibs),
+            "ka85" => Ok(Tdm::Ka85),
+            other => Err(format!("unknown TDM '{other}' (expected 'bibs' or 'ka85')")),
+        }
+    }
 }
 
 impl std::fmt::Display for Tdm {
@@ -153,12 +163,12 @@ impl std::fmt::Display for CollapseMode {
 /// Which [`PatternSource`] drives the per-kernel random phase — the
 /// coverage-vs-clocks axis as a CLI knob.
 ///
-/// `None` in [`Table2Options::source`] (the default) keeps the pre-source
-/// code path and its byte-identical JSON; [`SourceSpec::Random`] draws the
-/// *same* seeded stream through the source layer (CI diffs the two
-/// byte-for-byte). Every other variant trades the uniform stream for a
-/// hardware-faithful one and reports its clock budget alongside the
-/// detection indices.
+/// `None` in [`Table2Options::source`] (the default) drives every kernel
+/// with the same seeded [`RandomWords`] stream [`SourceSpec::Random`]
+/// names, so the two produce byte-identical JSON (a CI gate); naming the
+/// source only adds its `source[...]` telemetry span. Every other variant
+/// trades the uniform stream for a hardware-faithful one and reports its
+/// clock budget alongside the detection indices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SourceSpec {
     /// Seeded xoshiro256** words — the legacy stream behind the
@@ -420,11 +430,12 @@ pub struct Table2Options {
     /// across modes (see [`CollapseMode`]); only
     /// [`SimStats::simulated_faults`] and wall-clock change.
     pub collapse: CollapseMode,
-    /// Pattern source for the random phase. `None` (the default) is the
-    /// legacy seeded-RNG path; [`SourceSpec::Random`] reproduces it
-    /// byte-for-byte through the [`PatternSource`] layer; other specs
-    /// change the stream and add per-kernel `source`/`source_clocks`/
-    /// `source_patterns` fields to the JSON.
+    /// Pattern source for the random phase. `None` (the default) draws
+    /// the kernel's seeded [`RandomWords`] stream with no telemetry of its
+    /// own; [`SourceSpec::Random`] draws the same words and adds a
+    /// `source[random]` span; other specs change the stream and add
+    /// per-kernel `source`/`source_clocks`/`source_patterns` fields to the
+    /// JSON.
     pub source: Option<SourceSpec>,
     /// Run the optimizing pass pipeline ([`bibs_netlist::opt`]) over each
     /// kernel's compiled program and fault-simulate the validated rewrite
@@ -593,116 +604,65 @@ pub fn kernel_fault_stats_traced(
     // collapse mode (a block brings a new detection iff it first-detects
     // some class representative). The engine records itself; its whole
     // span tree is grafted under the kernel's span afterwards. With no
-    // `--source` the pre-source seeded-RNG path runs unchanged (and
-    // recorder-silent); with one, the chosen [`PatternSource`] drives the
-    // same generic driver and its coverage-vs-clocks accounting lands in
-    // a `source[...]` telemetry span and (for non-uniform sources) in the
-    // JSON.
+    // `--source` the kernel's seeded RNG drives the run (the words
+    // `SourceSpec::Random` draws) and the recorder stays silent; with one,
+    // the source's coverage-vs-clocks accounting lands in a `source[...]`
+    // telemetry span and (for non-uniform sources) in the JSON.
     let kernel_seed = options.seed ^ kernel.input_edges.len() as u64;
-    let mut source_run = None;
-    let report = match &options.source {
-        None => {
-            let mut rng = StdRng::seed_from_u64(kernel_seed);
-            match options.engine {
-                Engine::Compiled => {
-                    let mut sim = match &optimized {
-                        Some(opt) => {
-                            ParFaultSimulator::with_optimized(&comb, opt, sim_faults, options.jobs)
-                        }
-                        None => ParFaultSimulator::with_program(
-                            &comb,
-                            program.clone(),
-                            sim_faults,
-                            options.jobs,
-                        ),
-                    }
-                    .with_lanes(options.lanes);
-                    let report = sim.run_random_with_plateau(
-                        &mut rng,
-                        options.max_patterns,
-                        options.plateau,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
+    let mut source = match &options.source {
+        None => Box::new(RandomWords::seeded(kernel_seed)),
+        Some(spec) => build_source(
+            spec,
+            kernel_seed,
+            comb.input_width(),
+            circuit,
+            design,
+            kernel,
+        )
+        .unwrap_or_else(|e| panic!("cannot build pattern source '{spec}': {e}")),
+    };
+    let report = match options.engine {
+        Engine::Compiled => {
+            let mut sim = match &optimized {
+                Some(opt) => {
+                    ParFaultSimulator::with_optimized(&comb, opt, sim_faults, options.jobs)
                 }
-                Engine::Reference => {
-                    let mut sim = ReferenceSimulator::new(&comb, sim_faults);
-                    let report = sim.run_random_with_plateau(
-                        &mut rng,
-                        options.max_patterns,
-                        options.plateau,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
-                }
+                None => ParFaultSimulator::with_program(
+                    &comb,
+                    program.clone(),
+                    sim_faults,
+                    options.jobs,
+                ),
             }
+            .with_lanes(options.lanes);
+            let report = run_stream(&mut sim, &mut *source, options);
+            rec.graft(rec.current(), sim.recorder());
+            report
         }
-        Some(spec) => {
-            let mut source = build_source(
-                spec,
-                kernel_seed,
-                comb.input_width(),
-                circuit,
-                design,
-                kernel,
-            )
-            .unwrap_or_else(|e| panic!("cannot build pattern source '{spec}': {e}"));
-            let report = match options.engine {
-                Engine::Compiled => {
-                    let mut sim = match &optimized {
-                        Some(opt) => {
-                            ParFaultSimulator::with_optimized(&comb, opt, sim_faults, options.jobs)
-                        }
-                        None => ParFaultSimulator::with_program(
-                            &comb,
-                            program.clone(),
-                            sim_faults,
-                            options.jobs,
-                        ),
-                    }
-                    .with_lanes(options.lanes);
-                    let report = sim.run_source_with(
-                        &mut *source,
-                        options.max_patterns,
-                        options.plateau,
-                        1.0,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
-                }
-                Engine::Reference => {
-                    let mut sim = ReferenceSimulator::new(&comb, sim_faults);
-                    let report = sim.run_source_with(
-                        &mut *source,
-                        options.max_patterns,
-                        options.plateau,
-                        1.0,
-                    );
-                    let cur = rec.current();
-                    rec.graft(cur, sim.recorder());
-                    report
-                }
-            };
-            rec.scope(format!("source[{spec}]"), |rec| {
-                rec.add(CounterId::PatternsEmitted, source.patterns_emitted());
-                rec.add(CounterId::SourceClocks, source.clocks_consumed());
-            });
-            // `random` reproduces the legacy stream, so it also keeps the
-            // legacy JSON (byte-identical — a CI gate); every other source
-            // reports its coverage-vs-clocks record.
-            if *spec != SourceSpec::Random {
-                source_run = Some(SourceRun {
-                    descriptor_json: source.descriptor().to_json(),
-                    clocks: source.clocks_consumed(),
-                    emitted: source.patterns_emitted(),
-                });
-            }
+        Engine::Reference => {
+            let mut sim = ReferenceSimulator::new(&comb, sim_faults);
+            let report = run_stream(&mut sim, &mut *source, options);
+            rec.graft(rec.current(), sim.recorder());
             report
         }
     };
+    let mut source_run = None;
+    if let Some(spec) = &options.source {
+        rec.scope(format!("source[{spec}]"), |rec| {
+            rec.add(CounterId::PatternsEmitted, source.patterns_emitted());
+            rec.add(CounterId::SourceClocks, source.clocks_consumed());
+        });
+        // `random` draws the default stream, so it also keeps the default
+        // JSON (byte-identical — a CI gate); every other source reports
+        // its coverage-vs-clocks record.
+        if *spec != SourceSpec::Random {
+            source_run = Some(SourceRun {
+                descriptor_json: source.descriptor().to_json(),
+                clocks: source.clocks_consumed(),
+                emitted: source.patterns_emitted(),
+            });
+        }
+    }
 
     // Expand per-representative detections back over `to_sim` so the
     // survivors (and every reported number) are collapse-independent.
@@ -742,6 +702,17 @@ pub fn kernel_fault_stats_traced(
         source: source_run,
         opt: optimized.map(|o| o.stats().clone()),
     }
+}
+
+/// Phase 1 of [`kernel_fault_stats`] on either engine: applies `source`
+/// until every fault is detected, the options' pattern cap is reached or
+/// no fault has been newly detected for `plateau` patterns.
+fn run_stream(
+    sim: &mut impl BlockSim,
+    source: &mut dyn PatternSource,
+    options: &Table2Options,
+) -> FaultSimReport {
+    sim.run_source_with(source, options.max_patterns, options.plateau, 1.0)
 }
 
 /// Runs the full Table 2 pipeline for one circuit under one TDM.
@@ -928,6 +899,89 @@ pub fn table2_json(columns: &[(Table2Column, Table2Column)]) -> String {
         .flat_map(|(b, k)| [column(b), column(k)])
         .collect();
     format!("{{\"columns\":[{}]}}\n", cols.join(","))
+}
+
+/// The command line shared by `table2`, `coverage` and `bits`: the flags
+/// that fill [`Table2Options`], the telemetry path, each bin's own flags,
+/// and the positional arguments left over.
+#[derive(Debug)]
+pub struct BenchArgs {
+    /// Defaults, overridden by `--opt`, `--lanes`, `--engine`,
+    /// `--collapse` and `--source`.
+    pub options: Table2Options,
+    /// `--telemetry OUT.json`.
+    pub telemetry: Option<std::path::PathBuf>,
+    /// `--tdm bibs|ka85` (default BIBS).
+    pub tdm: Tdm,
+    /// `--json`.
+    pub json: bool,
+    /// `--only NAME`.
+    pub only: Option<String>,
+    /// `--circuit PATH`.
+    pub circuit: Option<std::path::PathBuf>,
+    /// Every argument not starting with `--`, in order.
+    pub positional: Vec<String>,
+}
+
+impl BenchArgs {
+    /// Parses `args` (without the program name), accepting only the flags
+    /// named in `flags`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the offending argument for an unknown flag (or
+    /// one not in `flags`), a flag missing its value, or a value the flag
+    /// does not accept — including a `--source replay:FILE` that fails its
+    /// preflight. The bins print it and exit with status 2.
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        flags: &[&str],
+    ) -> Result<BenchArgs, String> {
+        let mut out = BenchArgs {
+            options: Table2Options::default(),
+            telemetry: None,
+            tdm: Tdm::Bibs,
+            json: false,
+            only: None,
+            circuit: None,
+            positional: Vec::new(),
+        };
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                out.positional.push(arg);
+                continue;
+            }
+            let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+            match arg.as_str() {
+                flag if !flags.contains(&flag) => {
+                    return Err(format!("unknown argument '{flag}'"));
+                }
+                "--opt" => out.options.opt = true,
+                "--json" => out.json = true,
+                "--lanes" => {
+                    let lanes = value()?;
+                    out.options.lanes = match lanes.parse() {
+                        Ok(l @ (64 | 256 | 512)) => l,
+                        _ => return Err(format!("--lanes expects 64, 256 or 512 (got '{lanes}')")),
+                    };
+                }
+                "--engine" => out.options.engine = value()?.parse()?,
+                "--collapse" => out.options.collapse = value()?.parse()?,
+                "--tdm" => out.tdm = value()?.parse()?,
+                "--source" => {
+                    let spec: SourceSpec = value()?.parse()?;
+                    spec.preflight()?;
+                    out.options.source = Some(spec);
+                }
+                "--telemetry" => out.telemetry = Some(value()?.into()),
+                "--only" => out.only = Some(value()?),
+                "--circuit" => out.circuit = Some(value()?.into()),
+                other => return Err(format!("unknown argument '{other}'")),
+            }
+        }
+        Ok(out)
+    }
 }
 
 /// A typed failure from one of the bench binaries — replaces the bare
@@ -1262,5 +1316,92 @@ mod tests {
         assert!(json.contains("\"source\":{\"kind\":\"lfsr\""));
         assert!(json.contains("\"source_clocks\":"));
         assert!(json.contains("\"source_patterns\":"));
+    }
+
+    /// The shared bench command line: a table of argv cases through
+    /// [`BenchArgs::parse`], accepted ones checked field by field and
+    /// rejected ones checked for naming the offending argument.
+    #[test]
+    fn bench_args_parse_table() {
+        const TABLE2: &[&str] = &[
+            "--json",
+            "--opt",
+            "--lanes",
+            "--engine",
+            "--collapse",
+            "--source",
+            "--only",
+            "--circuit",
+            "--telemetry",
+        ];
+        const BITS: &[&str] = &["--tdm", "--source", "--opt", "--lanes", "--telemetry"];
+        let parse = |argv: &str, flags: &[&str]| {
+            BenchArgs::parse(argv.split_whitespace().map(String::from), flags)
+        };
+
+        let a = parse("", TABLE2).unwrap();
+        assert_eq!((a.options.opt, a.options.lanes, a.json), (false, 64, false));
+        assert_eq!(
+            (a.options.engine, a.options.collapse),
+            (Engine::Compiled, CollapseMode::Equiv)
+        );
+        assert_eq!(
+            (a.tdm, a.options.source, a.only, a.circuit, a.telemetry),
+            (Tdm::Bibs, None, None, None, None)
+        );
+        assert!(a.positional.is_empty());
+
+        let a = parse(
+            "4 --json --opt --lanes 512 --engine reference --collapse dominance \
+             --source lfsr --only c3a2m --circuit x.ckt --telemetry t.json",
+            TABLE2,
+        )
+        .unwrap();
+        assert_eq!(a.positional, ["4"]);
+        assert_eq!((a.options.opt, a.options.lanes, a.json), (true, 512, true));
+        assert_eq!(
+            (a.options.engine, a.options.collapse),
+            (Engine::Reference, CollapseMode::Dominance)
+        );
+        assert_eq!(a.options.source, Some(SourceSpec::Lfsr));
+        assert_eq!(a.only.as_deref(), Some("c3a2m"));
+        assert_eq!(a.circuit, Some("x.ckt".into()));
+        assert_eq!(a.telemetry, Some("t.json".into()));
+
+        // `--tdm` is consumed with its value wherever it sits.
+        for argv in ["--tdm ka85 fig4.ckt", "fig4.ckt --tdm ka85"] {
+            let a = parse(argv, BITS).unwrap();
+            assert_eq!(
+                (a.tdm, a.positional.as_slice()),
+                (Tdm::Ka85, &["fig4.ckt".to_string()][..]),
+                "{argv}"
+            );
+        }
+        assert_eq!(parse("--tdm bibs", BITS).unwrap().tdm, Tdm::Bibs);
+
+        for (argv, flags, needle) in [
+            ("--tdm bogus x.ckt", BITS, "'bogus'"),
+            ("--lanes 128", TABLE2, "'128'"),
+            ("--lanes", TABLE2, "--lanes needs a value"),
+            ("--telemetry", BITS, "--telemetry needs a value"),
+            ("--engine jit", TABLE2, "'jit'"),
+            ("--collapse some", TABLE2, "'some'"),
+            ("--source zipf", TABLE2, "'zipf'"),
+            (
+                "--source replay:/nonexistent.seeds",
+                BITS,
+                "/nonexistent.seeds",
+            ),
+            ("--json", BITS, "unknown argument '--json'"),
+            ("--tdm ka85", TABLE2, "unknown argument '--tdm'"),
+            (
+                "x.ckt --frobnicate",
+                BITS,
+                "unknown argument '--frobnicate'",
+            ),
+        ] {
+            let err = parse(argv, flags).unwrap_err();
+            assert!(err.contains(needle), "{argv}: {err}");
+        }
     }
 }

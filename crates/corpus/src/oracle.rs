@@ -6,27 +6,28 @@
 //!
 //! 1. **Eval** — the compiled [`EvalProgram`]'s good-machine words vs the
 //!    gate-walking reference interpreter, on random 64-pattern blocks.
-//! 2. **Parallel** — the serial [`FaultSimulator`] report vs the
-//!    [`ParFaultSimulator`] at 2 and 4 threads on the same seeded stream
-//!    (bit-identical `detection()` and `patterns_applied()`).
+//! 2. **Parallel** — the one-thread [`ParFaultSimulator`] report vs the
+//!    same engine at 2 and 4 threads on the same seeded stream
+//!    (bit-identical `detection()` and `patterns_applied()`), with the
+//!    one-thread report also checked against the reference interpreter.
 //! 3. **Dominance** — exhaustive detection of the full fault universe vs
 //!    simulating only dominance-class representatives and expanding.
 //! 4. **Prover** — every fault the [`StaticFaultAnalysis`] rules
 //!    statically untestable must stay undetected under exhaustive
 //!    simulation.
 //! 5. **Source** — every [`PatternSource`] kind (seeded random, weighted,
-//!    LFSR where the width permits) produces a bit-identical report on
-//!    the serial and parallel engines at 2 and 4 threads, and the
-//!    source's own stream digest matches across the runs — the pulled
-//!    streams themselves were identical, not just the verdicts.
+//!    LFSR where the width permits) produces a bit-identical report at 1,
+//!    2 and 4 threads, and the source's own stream digest matches across
+//!    the runs — the pulled streams themselves were identical, not just
+//!    the verdicts.
 //! 6. **Opt** — the optimizing pass pipeline of [`bibs_netlist::opt`]
 //!    must validate (its built-in CEC proves every pass), and the
 //!    optimized program must produce a bit-identical fault-simulation
-//!    report on the serial and parallel engines — the differential check
-//!    behind `table2 --opt`'s byte-identity claim.
+//!    report at 1 and more threads — the differential check behind
+//!    `table2 --opt`'s byte-identity claim.
 //! 7. **Lanes** — wide-word evaluation (256 and 512 lanes via
 //!    `with_lanes`) must reproduce the scalar 64-lane report bit for bit
-//!    on the same seeded stream, serial and parallel, including a
+//!    on the same seeded stream, at 1 and 2 threads, including a
 //!    plateau-stop run that exercises the wide driver's sub-block
 //!    retraction — the differential check behind `table2 --lanes`.
 //! 8. **Atpg** — PODEM's verdicts against simulation: every generated
@@ -46,7 +47,7 @@ use bibs_faultsim::atpg::Atpg;
 use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
 use bibs_faultsim::par::ParFaultSimulator;
 use bibs_faultsim::reference::ReferenceSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::{LfsrSource, PatternSource, RandomWords, WeightedRandomSource};
 use bibs_netlist::opt::optimize;
 use bibs_netlist::{EvalProgram, Netlist};
@@ -78,7 +79,7 @@ pub enum Oracle {
     Dominance,
     /// Static untestability prover vs exhaustive simulation.
     Prover,
-    /// Pattern-source streams across serial/parallel engines.
+    /// Pattern-source streams across thread counts.
     Source,
     /// Optimize-then-CEC: validated rewrite, bit-identical reports.
     Opt,
@@ -184,15 +185,17 @@ pub fn check_eval(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
     Vec::new()
 }
 
-/// Oracle 2: serial vs parallel reports on the same seeded stream, plus
-/// the reference interpreter on the same stream as ground truth.
+/// Oracle 2: one-thread vs multi-thread reports on the same seeded
+/// stream, plus the reference interpreter on the same stream as ground
+/// truth for the one-thread report.
 pub fn check_parallel(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     let faults = FaultUniverse::collapsed(nl).faults().to_vec();
     if faults.is_empty() {
         return Vec::new();
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
-    let serial = FaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
+    let serial = ParFaultSimulator::with_threads(nl, faults.clone(), 1)
+        .run_random(&mut rng, RANDOM_PATTERNS);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9A7A);
     let reference =
         ReferenceSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
@@ -224,13 +227,12 @@ pub fn check_parallel(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     out
 }
 
-/// Oracle 5: every pattern-source kind is engine- and thread-count
-/// independent — serial vs parallel (2 and 4 threads) reports are
-/// bit-identical, and the freshly built sources end each run with the
-/// same stream digest (the engines pulled identical streams). These are
-/// explicit comparisons, unlike the `debug_assert`s in
-/// [`bibs_faultsim::par::run_source_checked`], so the fuzzer catches
-/// regressions in release builds too.
+/// Oracle 5: every pattern-source kind is thread-count independent — the
+/// 1-thread report and the 2- and 4-thread reports are bit-identical, and
+/// the freshly built sources end each run with the same stream digest
+/// (the runs pulled identical streams). The comparisons are explicit, not
+/// `debug_assert`s, so the fuzzer catches regressions in release builds
+/// too.
 pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     let faults = FaultUniverse::collapsed(nl).faults().to_vec();
     if faults.is_empty() {
@@ -265,7 +267,7 @@ pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     let mut out = Vec::new();
     for (kind, make) in kinds {
         let mut serial_source = make();
-        let serial = FaultSimulator::new(nl, faults.clone())
+        let serial = ParFaultSimulator::with_threads(nl, faults.clone(), 1)
             .run_source(&mut *serial_source, SOURCE_PATTERNS);
         for threads in [2usize, 4] {
             let mut par_source = make();
@@ -292,9 +294,9 @@ pub fn check_source(nl: &Netlist, seed: u64) -> Vec<Divergence> {
 
 /// Oracle 6: the optimizing pass pipeline must validate on every corpus
 /// circuit, and the CEC-proven rewrite must be behaviorally invisible to
-/// the fault simulators — the serial engine on the optimized program and
-/// the parallel engine at 2 and 4 threads must reproduce the plain serial
-/// report bit for bit on the same seeded stream.
+/// the fault simulator — the optimized program at 1, 2 and 4 threads must
+/// reproduce the plain one-thread report bit for bit on the same seeded
+/// stream.
 pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergence> {
     let opt = match optimize(nl, program) {
         Ok(o) => o,
@@ -312,10 +314,11 @@ pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergen
         return Vec::new();
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0797);
-    let base = FaultSimulator::new(nl, faults.clone()).run_random(&mut rng, RANDOM_PATTERNS);
+    let base = ParFaultSimulator::with_threads(nl, faults.clone(), 1)
+        .run_random(&mut rng, RANDOM_PATTERNS);
     let mut out = Vec::new();
     let mut rng = StdRng::seed_from_u64(seed ^ 0x0797);
-    let serial = FaultSimulator::with_optimized(nl, &opt, faults.clone())
+    let serial = ParFaultSimulator::with_optimized(nl, &opt, faults.clone(), 1)
         .run_random(&mut rng, RANDOM_PATTERNS);
     if serial.detection() != base.detection()
         || serial.patterns_applied() != base.patterns_applied()
@@ -346,7 +349,7 @@ pub fn check_opt(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Divergen
 
 /// Oracle 7: wide-word evaluation is report-invisible. Each lane width
 /// (256 and 512) re-runs the scalar baseline's seeded stream through a
-/// `with_lanes`-configured serial engine and the parallel engine at 2
+/// `with_lanes`-configured engine at 1 and at 2
 /// threads and requires bit-identical detection and pattern counts; a
 /// second, plateau-limited run forces the wide driver to stop mid-sweep
 /// and retract sub-blocks the scalar driver would never have applied.
@@ -357,14 +360,19 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
     }
     let source_seed = seed ^ 0x7A9E;
     let mut src = RandomWords::seeded(source_seed);
-    let full = FaultSimulator::new(nl, faults.clone()).run_source(&mut src, SOURCE_PATTERNS);
+    let full = ParFaultSimulator::with_threads(nl, faults.clone(), 1)
+        .run_source(&mut src, SOURCE_PATTERNS);
     let mut src = RandomWords::seeded(source_seed);
-    let stopped =
-        FaultSimulator::new(nl, faults.clone()).run_source_with(&mut src, SOURCE_PATTERNS, 64, 1.0);
+    let stopped = ParFaultSimulator::with_threads(nl, faults.clone(), 1).run_source_with(
+        &mut src,
+        SOURCE_PATTERNS,
+        64,
+        1.0,
+    );
     let mut out = Vec::new();
     for lanes in [256usize, 512] {
         let mut src = RandomWords::seeded(source_seed);
-        let wide = FaultSimulator::new(nl, faults.clone())
+        let wide = ParFaultSimulator::with_threads(nl, faults.clone(), 1)
             .with_lanes(lanes)
             .run_source(&mut src, SOURCE_PATTERNS);
         if wide.detection() != full.detection()
@@ -387,7 +395,7 @@ pub fn check_lanes(nl: &Netlist, seed: u64) -> Vec<Divergence> {
             });
         }
         let mut src = RandomWords::seeded(source_seed);
-        let wide_stopped = FaultSimulator::new(nl, faults.clone())
+        let wide_stopped = ParFaultSimulator::with_threads(nl, faults.clone(), 1)
             .with_lanes(lanes)
             .run_source_with(&mut src, SOURCE_PATTERNS, 64, 1.0);
         if wide_stopped.detection() != stopped.detection()
@@ -453,7 +461,7 @@ pub fn check_atpg(nl: &Netlist, program: &EvalProgram, seed: u64) -> Vec<Diverge
     if nl.input_width() > EXHAUSTIVE_PI_LIMIT || class.redundant.is_empty() {
         return Vec::new();
     }
-    let report = FaultSimulator::new(nl, class.redundant.clone()).run_exhaustive();
+    let report = ParFaultSimulator::with_threads(nl, class.redundant.clone(), 1).run_exhaustive();
     for (fault, det) in class.redundant.iter().zip(report.detection()) {
         if let Some(pattern) = det {
             return vec![Divergence {
@@ -472,9 +480,10 @@ pub fn check_dominance(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
     if universe.is_empty() {
         return Vec::new();
     }
-    let direct = FaultSimulator::new(nl, universe.faults().to_vec()).run_exhaustive();
+    let direct =
+        ParFaultSimulator::with_threads(nl, universe.faults().to_vec(), 1).run_exhaustive();
     let dc = universe.dominance_collapsed(program);
-    let reps = FaultSimulator::new(nl, dc.representative_faults()).run_exhaustive();
+    let reps = ParFaultSimulator::with_threads(nl, dc.representative_faults(), 1).run_exhaustive();
     let expanded = dc.expand_detection(reps.detection());
     if expanded != direct.detection() {
         let bad = expanded
@@ -511,7 +520,7 @@ pub fn check_prover(nl: &Netlist, program: &EvalProgram) -> Vec<Divergence> {
         return Vec::new();
     }
     let faults: Vec<_> = untestable.iter().map(|(f, _)| *f).collect();
-    let report = FaultSimulator::new(nl, faults.clone()).run_exhaustive();
+    let report = ParFaultSimulator::with_threads(nl, faults.clone(), 1).run_exhaustive();
     for (i, det) in report.detection().iter().enumerate() {
         if let Some(pattern) = det {
             return vec![Divergence {

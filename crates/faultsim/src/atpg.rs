@@ -453,7 +453,8 @@ impl<'a> Atpg<'a> {
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
-    use crate::sim::{BlockSim, FaultSimulator};
+    use crate::par::ParFaultSimulator;
+    use crate::sim::BlockSim;
     use bibs_netlist::builder::NetlistBuilder;
 
     impl Atpg<'_> {
@@ -528,7 +529,7 @@ mod tests {
         // Replay every generated test through the fault simulator.
         for (fault, test) in &class.detectable {
             let pattern: Vec<bool> = test.iter().map(|v| v.unwrap_or(false)).collect();
-            let mut sim = FaultSimulator::new(&nl, vec![*fault]);
+            let mut sim = ParFaultSimulator::with_threads(&nl, vec![*fault], 1);
             let report = sim.run_patterns(&[pattern]);
             assert_eq!(
                 report.detected_count(),
@@ -579,7 +580,7 @@ mod tests {
         let universe = FaultUniverse::collapsed(&nl);
         let mut atpg = Atpg::new(&nl);
         let class = atpg.classify(universe.faults(), 10_000);
-        let mut sim = FaultSimulator::new(&nl, universe.faults().to_vec());
+        let mut sim = ParFaultSimulator::with_threads(&nl, universe.faults().to_vec(), 1);
         let report = sim.run_exhaustive();
         assert_eq!(class.detectable_count(), report.detected_count());
     }
@@ -596,7 +597,7 @@ mod tests {
             let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
             let class = Atpg::new(&nl).classify(&faults, 10_000);
             assert!(class.aborted.is_empty(), "{}", nl.name());
-            let report = FaultSimulator::new(&nl, faults.clone()).run_exhaustive();
+            let report = ParFaultSimulator::with_threads(&nl, faults.clone(), 1).run_exhaustive();
             for (fault, det) in faults.iter().zip(report.detection()) {
                 assert_eq!(
                     det.is_none(),

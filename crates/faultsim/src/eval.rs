@@ -1,9 +1,9 @@
-//! Shared compiled-evaluation helpers for the serial and parallel fault
-//! simulators.
+//! Compiled-evaluation helpers for the fault simulator's shards.
 //!
-//! Both engines *must* compute per-fault detection identically — the
-//! parallel engine's determinism guarantee (bit-identical
-//! [`crate::sim::FaultSimReport`]s) rests on there being exactly one
+//! Every shard *must* compute per-fault detection identically — the
+//! engine's determinism guarantee (bit-identical
+//! [`crate::sim::FaultSimReport`]s for any thread count) rests on there
+//! being exactly one
 //! mapping from faults to [`Patch`]es, one faulty-machine evaluation
 //! ([`eval_fault`]) and one output-difference rule. The evaluation itself
 //! lives in [`bibs_netlist::EvalProgram`]: scalar faults run the

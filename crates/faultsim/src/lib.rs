@@ -7,11 +7,12 @@
 //! * a single-stuck-at **fault model** with structural equivalence
 //!   collapsing ([`fault`]);
 //! * a 64-way parallel-pattern **fault simulator** with fault dropping
-//!   ([`sim`]), plus a multi-threaded engine ([`par`]) that produces
-//!   bit-identical reports (thread count via `BIBS_JOBS` or
-//!   [`par::default_jobs`]); both run on the compiled
-//!   [`bibs_netlist::EvalProgram`] IR, with the original gate-walking
-//!   interpreter preserved as a reference oracle ([`mod@reference`]);
+//!   ([`par`]), driven through the [`sim::BlockSim`] interface: one
+//!   engine on the compiled [`bibs_netlist::EvalProgram`] IR whose reports
+//!   are bit-identical for any thread count (`BIBS_JOBS` or
+//!   [`par::default_jobs`]; one thread is the serial case), with the
+//!   original gate-walking interpreter preserved as a reference oracle
+//!   ([`mod@reference`]);
 //! * pluggable **pattern sources** ([`source`]): the stream an engine
 //!   consumes — pseudorandom words, hardware-faithful LFSRs, weighted
 //!   random, exhaustive counters, stored-seed replays — behind one
@@ -35,7 +36,8 @@
 //! ```
 //! use bibs_netlist::builder::NetlistBuilder;
 //! use bibs_faultsim::fault::FaultUniverse;
-//! use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+//! use bibs_faultsim::par::ParFaultSimulator;
+//! use bibs_faultsim::sim::BlockSim;
 //!
 //! # fn main() -> Result<(), bibs_netlist::NetlistError> {
 //! let mut b = NetlistBuilder::new("add2");
@@ -47,7 +49,7 @@
 //! let nl = b.finish()?;
 //!
 //! let faults = FaultUniverse::collapsed(&nl);
-//! let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+//! let mut sim = ParFaultSimulator::with_threads(&nl, faults.faults().to_vec(), 1);
 //! let report = sim.run_exhaustive();
 //! assert_eq!(report.undetected().len(), 0, "an adder has no redundancy");
 //! # Ok(())
@@ -68,7 +70,7 @@ pub mod stats;
 pub use fault::{DominanceCollapse, Fault, FaultSite, FaultUniverse, StaticFaultAnalysis};
 pub use par::{default_jobs, ParFaultSimulator};
 pub use reference::ReferenceSimulator;
-pub use sim::{BlockSim, FaultSimReport, FaultSimulator, SimError};
+pub use sim::{BlockSim, FaultSimReport, SimError};
 pub use source::{
     ExhaustiveSource, LfsrSource, PatternBlock, PatternSource, RandomWords, SourceDescriptor,
     StoredSeedReplay, WeightedRandomSource,

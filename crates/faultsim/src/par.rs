@@ -1,4 +1,5 @@
-//! Multi-threaded sharded fault simulation.
+//! The fault-simulation engine: parallel-pattern single-fault propagation
+//! with fault dropping, sharded across worker threads.
 //!
 //! [`ParFaultSimulator`] shards the *undetected* fault list across
 //! `std::thread::scope` workers. Each block is processed as:
@@ -15,13 +16,17 @@
 //!    `(position, first-diff-lane)` hit, and restores the touched slots;
 //! 3. the main thread merges the hits and compacts the undetected list.
 //!
+//! With one thread (or a short undetected list) step 2 runs inline on the
+//! calling thread as a single shard — `with_threads(nl, faults, 1)` is
+//! the serial engine.
+//!
 //! # Determinism
 //!
-//! The parallel report is **bit-identical** to the serial
-//! [`crate::sim::FaultSimulator`]'s, for any thread count, because:
+//! The report is **bit-identical** for any thread count, because:
 //!
 //! * the pattern stream is formed by the shared [`BlockSim`] drivers, so
-//!   both engines draw the same RNG words and schedule the same blocks;
+//!   every configuration draws the same RNG words and schedules the same
+//!   blocks;
 //! * per-fault detection is a pure function of `(program, block, patch)`
 //!   — one immutable [`EvalProgram`] is shared
 //!   by every worker, so *which* worker evaluates a fault cannot change
@@ -30,18 +35,19 @@
 //!   their hit lists is order-independent: fault *i*'s first-detection
 //!   index is `patterns_applied + trailing_zeros(diff)` regardless of
 //!   join order;
-//! * fault dropping is block-granular in both engines (a fault detected
-//!   in block *b* is still evaluated by nobody else in block *b* and by
-//!   no one in block *b+1*).
+//! * fault dropping is block-granular (a fault detected in block *b* is
+//!   still evaluated by nobody else in block *b* and by no one in block
+//!   *b+1*).
 //!
 //! Work stealing only redistributes *throughput* between shards (visible
 //! in [`SimStats::per_shard_fault_evals`]); it never changes the report.
 //! `tests/par_equivalence.rs` pins this across circuits, seeds and thread
-//! counts.
+//! counts, and `tests/compiled_equivalence.rs` pins the one-thread report
+//! against the reference interpreter.
 
 use crate::eval;
 use crate::fault::Fault;
-use crate::sim::{BlockSim, FaultSimReport, FaultSimulator, SimError};
+use crate::sim::{BlockSim, FaultSimReport, SimError};
 use crate::source::PatternBlock;
 use crate::stats::SimStats;
 use bibs_netlist::opt::OptimizedProgram;
@@ -58,9 +64,10 @@ const STEAL_CHUNK: usize = 32;
 /// calling thread — spawning would cost more than the work.
 const SERIAL_CUTOFF: usize = 48;
 
-/// One worker shard's outcome for a block: detection hits as
-/// `(undetected-list position, first diff lane)` plus the shard's private
-/// telemetry counters (fault/gate evals, queue pops, wall time).
+/// One worker shard's outcome for a block or sweep: detection hits as
+/// `(undetected-list position, pattern offset of the first detection)`
+/// plus the shard's private telemetry counters (fault/gate evals, queue
+/// pops, wall time).
 type ShardResult = (Vec<(usize, u64)>, ShardCounters);
 
 /// Resolves a `BIBS_JOBS`-style value to a worker-thread count: a positive
@@ -94,11 +101,22 @@ pub fn default_jobs() -> usize {
     default_jobs_from(std::env::var("BIBS_JOBS").ok().as_deref())
 }
 
-/// Multi-threaded drop-in replacement for [`FaultSimulator`].
+/// The fault simulator bound to one (combinational) netlist and one fault
+/// list, running on the compiled [`EvalProgram`].
+///
+/// Construction compiles the netlist once (or adopts a caller-supplied
+/// program via [`ParFaultSimulator::with_program`], or a validated
+/// optimizer rewrite via [`ParFaultSimulator::with_optimized`]) and
+/// pre-compiles every fault to its patch-point(s). Patterns are applied in
+/// blocks of up to 64 (one per `u64` lane); detected faults are dropped
+/// from subsequent blocks, and the per-fault first-detection pattern index
+/// is recorded so coverage-vs-pattern-count curves (the paper's Table 2
+/// rows 5–8) can be reconstructed exactly. Reports are bit-identical to
+/// the seed interpreter's ([`crate::reference::ReferenceSimulator`]).
 ///
 /// Construct with [`ParFaultSimulator::new`] (thread count from
 /// [`default_jobs`]) or [`ParFaultSimulator::with_threads`], then drive it
-/// through the [`BlockSim`] trait exactly like the serial engine:
+/// through the [`BlockSim`] trait:
 ///
 /// ```
 /// use bibs_netlist::builder::NetlistBuilder;
@@ -155,19 +173,20 @@ pub struct ParFaultSimulator<'a> {
 }
 
 impl<'a> ParFaultSimulator<'a> {
-    /// Creates a parallel simulator with [`default_jobs`] worker threads.
+    /// Creates a simulator with [`default_jobs`] worker threads.
     ///
     /// # Panics
     ///
-    /// Panics if the netlist is sequential or combinationally cyclic, or
-    /// if the fault list exceeds `u32::MAX` entries.
+    /// Panics if the netlist is sequential (run on the combinational
+    /// equivalent — see the crate docs) or combinationally cyclic, or if
+    /// the fault list exceeds `u32::MAX` entries.
     pub fn new(netlist: &'a Netlist, faults: Vec<Fault>) -> Self {
         Self::with_threads(netlist, faults, default_jobs())
     }
 
-    /// Creates a parallel simulator with an explicit worker-thread count
-    /// (clamped to at least 1). `with_threads(nl, faults, 1)` behaves
-    /// exactly like the serial engine, inline on the calling thread.
+    /// Creates a simulator with an explicit worker-thread count (clamped
+    /// to at least 1). `with_threads(nl, faults, 1)` is the serial engine:
+    /// every block runs inline on the calling thread.
     ///
     /// The netlist is compiled to an [`EvalProgram`] here; the compile
     /// time is recorded in [`SimStats::compile_wall`]. Use
@@ -183,9 +202,9 @@ impl<'a> ParFaultSimulator<'a> {
         Self::with_program_recorder(netlist, program, faults, threads, rec)
     }
 
-    /// Creates a parallel simulator around an already-compiled program
-    /// for the same netlist, so callers running many sessions on one
-    /// circuit pay the compile cost once.
+    /// Creates a simulator around an already-compiled program for the
+    /// same netlist, so callers running many sessions on one circuit pay
+    /// the compile cost once.
     ///
     /// # Panics
     ///
@@ -259,11 +278,14 @@ impl<'a> ParFaultSimulator<'a> {
         }
     }
 
-    /// Reconfigures the engine for wide sweeps — the parallel twin of
-    /// [`FaultSimulator::with_lanes`]: `lanes` is 64 (scalar default),
-    /// 256, or 512. Reports stay bit-identical across lane widths *and*
+    /// Reconfigures the engine for wide sweeps: `lanes` is 64 (the scalar
+    /// default), 256, or 512 — 1, 4, or 8 words of 64 patterns per
+    /// good-machine evaluation. The stream drivers then evaluate the good
+    /// machine once per wide sweep and batch every live fault against it
+    /// (PPSFP); reports stay bit-identical across lane widths *and*
     /// thread counts (`tests/lanes_equivalence.rs`). Widening records the
-    /// `lanes` telemetry counter; 64 leaves the scalar path untouched.
+    /// `lanes` telemetry counter; 64 leaves the scalar path — and its
+    /// telemetry — untouched.
     ///
     /// # Panics
     ///
@@ -290,11 +312,17 @@ impl<'a> ParFaultSimulator<'a> {
         self
     }
 
-    /// Creates a parallel simulator whose good machine runs the
-    /// **optimized** program of a validated [`OptimizedProgram`]; the
-    /// serial counterpart is [`FaultSimulator::with_optimized`] and the
-    /// report stays bit-identical to it (and to the unoptimized engines)
-    /// for any thread count.
+    /// Creates a simulator whose good machine runs the **optimized**
+    /// program of a validated [`OptimizedProgram`], while the fault list
+    /// stays defined on the original netlist.
+    ///
+    /// Each fault's patch is compiled against the original program, then
+    /// remapped through the rewrite
+    /// ([`OptimizedProgram::remap_patch`]); faults the rewrite cannot
+    /// express faithfully fall back to evaluating the original program
+    /// (sound because the two are equivalence-proven). Reports are
+    /// **bit-identical** to the unoptimized engine's for any thread count
+    /// — pinned by `tests/opt_equivalence.rs`.
     ///
     /// # Panics
     ///
@@ -314,8 +342,7 @@ impl<'a> ParFaultSimulator<'a> {
         )
     }
 
-    /// Fallible [`ParFaultSimulator::with_optimized`] — the parallel twin
-    /// of [`FaultSimulator::try_with_optimized`]: validates that every
+    /// Fallible [`ParFaultSimulator::with_optimized`]: validates that every
     /// unmapped (`Fallback`) fault has the original program to evaluate
     /// on, surfacing a violation as a typed [`SimError`] instead of a
     /// mid-run abort.
@@ -323,7 +350,9 @@ impl<'a> ParFaultSimulator<'a> {
     /// # Errors
     ///
     /// Returns [`SimError::MissingFallback`] if an unmapped fault has no
-    /// fallback program.
+    /// fallback program — unreachable through this constructor today (it
+    /// always retains the original program) but kept as the single
+    /// validation point should fallback retention ever become optional.
     pub fn try_with_optimized(
         netlist: &'a Netlist,
         opt: &OptimizedProgram,
@@ -372,95 +401,44 @@ impl<'a> ParFaultSimulator<'a> {
     }
 
     /// The monomorphized wide sweep: one wide good-machine evaluation,
-    /// then the undetected list sharded across workers exactly like the
+    /// then every undetected fault batched against it exactly like the
     /// scalar [`BlockSim::apply_block`], each hit carrying its pattern
-    /// *offset* (`sub-block prefix + lane`) within the sweep. Detections
-    /// merge deterministically; the undetected list is compacted later by
-    /// the commit (the driver may still erase boundary-crossing hits).
+    /// *offset* (`sub-block prefix + lane`) within the sweep. The
+    /// undetected list is compacted later by the commit (the driver may
+    /// still erase boundary-crossing hits).
     fn apply_wide<const N: usize>(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
-        let width = self.netlist.input_width();
         let started = Instant::now();
-        let (chunks, masks, prefix) = crate::sim::pack_wide::<N>(blocks, applied, width);
-
+        let (chunks, masks, prefix) = pack_wide::<N>(blocks, applied, self.netlist.input_width());
         let good_gate_evals = self
             .program
             .eval_good_wide::<N>(&mut self.good_wide, &chunks);
 
-        let program = &self.program;
-        let fallback = self.fallback.as_ref();
-        let patches = &self.patches;
-        let undetected = &self.undetected;
-        let good = &self.good_wide;
-        let output_slots = program.output_slots();
-        let chunks = &chunks;
-        let masks = &masks;
+        let (program, fallback, good) = (&self.program, self.fallback.as_ref(), &self.good_wide);
+        let shard_results = simulate_faults(
+            &mut self.faulty_wide_bufs,
+            &self.undetected,
+            &self.patches,
+            |_| {},
+            |buf, fp| {
+                let gate_evals = eval::eval_fault_wide::<N>(program, fallback, buf, &chunks, fp);
+                let hit = eval::output_diff_wide::<N>(program.output_slots(), good, buf, &masks)
+                    .map(|(k, diff)| prefix[k] + diff.trailing_zeros() as u64);
+                (gate_evals, hit)
+            },
+        );
+        let newly = self.merge_hits(shard_results);
+        let blocks = applied.iter().filter(|&&l| l > 0).count() as u64;
+        self.record_good(good_gate_evals, blocks, started);
+        newly
+    }
 
-        let shard_results: Vec<ShardResult> = if self.threads <= 1
-            || undetected.len() <= SERIAL_CUTOFF
-        {
-            let buf = &mut self.faulty_wide_bufs[0];
-            let mut hits = Vec::new();
-            let mut shard = ShardCounters::new();
-            let shard_started = Instant::now();
-            for (pos, &fi) in undetected.iter().enumerate() {
-                let fp = &patches[fi as usize];
-                let gate_evals = eval::eval_fault_wide::<N>(program, fallback, buf, chunks, fp);
-                shard.add(CounterId::GateEvals, gate_evals);
-                shard.add(CounterId::FaultEvals, 1);
-                shard.add(CounterId::PatchesApplied, fp.patch_count());
-                if let Some((k, diff)) = eval::output_diff_wide::<N>(output_slots, good, buf, masks)
-                {
-                    hits.push((pos, prefix[k] + diff.trailing_zeros() as u64));
-                }
-            }
-            shard.wall = shard_started.elapsed();
-            vec![(hits, shard)]
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let cursor = &cursor;
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .faulty_wide_bufs
-                    .iter_mut()
-                    .map(|buf| {
-                        s.spawn(move || {
-                            let mut hits: Vec<(usize, u64)> = Vec::new();
-                            let mut shard = ShardCounters::new();
-                            let shard_started = Instant::now();
-                            loop {
-                                let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-                                if start >= undetected.len() {
-                                    break;
-                                }
-                                shard.add(CounterId::QueuePops, 1);
-                                let end = (start + STEAL_CHUNK).min(undetected.len());
-                                for pos in start..end {
-                                    let fp = &patches[undetected[pos] as usize];
-                                    let gate_evals = eval::eval_fault_wide::<N>(
-                                        program, fallback, buf, chunks, fp,
-                                    );
-                                    shard.add(CounterId::GateEvals, gate_evals);
-                                    shard.add(CounterId::FaultEvals, 1);
-                                    shard.add(CounterId::PatchesApplied, fp.patch_count());
-                                    if let Some((k, diff)) =
-                                        eval::output_diff_wide::<N>(output_slots, good, buf, masks)
-                                    {
-                                        hits.push((pos, prefix[k] + diff.trailing_zeros() as u64));
-                                    }
-                                }
-                            }
-                            shard.wall = shard_started.elapsed();
-                            (hits, shard)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fault-sim worker panicked"))
-                    .collect()
-            })
-        };
-
+    /// Deterministic merge: workers own disjoint positions of the
+    /// undetected list, and each hit's detection index depends only on
+    /// (fault, block). Shard counters merge into the root span plus one
+    /// detail child per shard index — the root totals are
+    /// thread-count-independent. Returns the number of newly detected
+    /// faults.
+    fn merge_hits(&mut self, shard_results: Vec<ShardResult>) -> usize {
         let root = self.rec.root();
         let mut newly = 0usize;
         for (shard_idx, (hits, shard)) in shard_results.into_iter().enumerate() {
@@ -472,40 +450,142 @@ impl<'a> ParFaultSimulator<'a> {
                 newly += 1;
             }
         }
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(
-            root,
-            CounterId::Blocks,
-            applied.iter().filter(|&&l| l > 0).count() as u64,
-        );
-        self.rec.add_wall(root, started.elapsed());
         newly
     }
 
-    /// Shared commit logic: erase boundary-crossing detections, count the
-    /// surviving drops, compact the undetected work list, and advance the
-    /// pattern counter.
-    fn commit_wide(&mut self, boundary: u64) {
-        let base = self.patterns_applied;
-        debug_assert!(boundary >= base);
-        let mut dropped = 0u64;
-        for d in &mut self.detection {
-            match *d {
-                Some(p) if p >= boundary => *d = None,
-                Some(p) if p >= base => dropped += 1,
-                _ => {}
-            }
-        }
+    /// Drops the detected faults from the work list and advances the
+    /// pattern counter to `boundary`, recording the patterns consumed and
+    /// the `dropped` faults.
+    fn commit(&mut self, boundary: u64, dropped: u64) {
         let detection = &self.detection;
         self.undetected
             .retain(|&fi| detection[fi as usize].is_none());
-        self.patterns_applied = boundary;
         let root = self.rec.root();
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, boundary - base);
+        self.rec.add_to(
+            root,
+            CounterId::PatternsConsumed,
+            boundary - self.patterns_applied,
+        );
         self.rec.add_to(root, CounterId::FaultsDropped, dropped);
+        self.patterns_applied = boundary;
     }
+
+    /// Records one good-machine evaluation covering `blocks` 64-lane
+    /// blocks, and the wall time since `started`.
+    fn record_good(&mut self, gate_evals: u64, blocks: u64, started: Instant) {
+        let root = self.rec.root();
+        self.rec.add_to(root, CounterId::GateEvals, gate_evals);
+        self.rec.add_to(root, CounterId::GoodEvals, 1);
+        self.rec.add_to(root, CounterId::Blocks, blocks);
+        self.rec.add_wall(root, started.elapsed());
+    }
+}
+
+/// Evaluates every fault of `undetected` against the current good
+/// machine and returns one [`ShardResult`] per shard that ran.
+///
+/// With one buffer, or at most [`SERIAL_CUTOFF`] faults, the single shard
+/// runs inline on the calling thread; otherwise every buffer gets a scoped
+/// worker and the workers steal from one shared cursor. `prepare` readies
+/// a shard's buffer for the block before its first fault; `eval` evaluates
+/// one fault on it (see [`run_shard`]).
+fn simulate_faults<B: Send>(
+    bufs: &mut [B],
+    undetected: &[u32],
+    patches: &[eval::FaultPatch],
+    prepare: impl Fn(&mut B) + Sync,
+    eval: impl Fn(&mut B, &eval::FaultPatch) -> (u64, Option<u64>) + Sync,
+) -> Vec<ShardResult> {
+    let cursor = AtomicUsize::new(0);
+    if bufs.len() <= 1 || undetected.len() <= SERIAL_CUTOFF {
+        prepare(&mut bufs[0]);
+        return vec![run_shard(&mut bufs[0], undetected, patches, &cursor, &eval)];
+    }
+    let (cursor, prepare, eval) = (&cursor, &prepare, &eval);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = bufs
+            .iter_mut()
+            .map(|buf| {
+                s.spawn(move || {
+                    prepare(buf);
+                    run_shard(buf, undetected, patches, cursor, eval)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fault-sim worker panicked"))
+            .collect()
+    })
+}
+
+/// One shard's pass over the undetected list: steals [`STEAL_CHUNK`]-sized
+/// runs of positions off `cursor` until the list is exhausted and
+/// evaluates each fault with `eval` on the shard's private faulty buffer.
+/// `eval` returns the instructions evaluated and, for a detected fault,
+/// the pattern offset of its first detection within the block or sweep.
+/// The shard counts into a private [`ShardCounters`] (plain `u64` adds, no
+/// span-stack lookups) that the owning thread attaches afterwards.
+fn run_shard<B>(
+    buf: &mut B,
+    undetected: &[u32],
+    patches: &[eval::FaultPatch],
+    cursor: &AtomicUsize,
+    eval: &impl Fn(&mut B, &eval::FaultPatch) -> (u64, Option<u64>),
+) -> ShardResult {
+    let mut hits = Vec::new();
+    let mut shard = ShardCounters::new();
+    let started = Instant::now();
+    loop {
+        let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
+        if start >= undetected.len() {
+            break;
+        }
+        shard.add(CounterId::QueuePops, 1);
+        let end = (start + STEAL_CHUNK).min(undetected.len());
+        for (pos, &fi) in (start..end).zip(&undetected[start..end]) {
+            let fp = &patches[fi as usize];
+            let (gate_evals, hit) = eval(buf, fp);
+            shard.add(CounterId::GateEvals, gate_evals);
+            shard.add(CounterId::FaultEvals, 1);
+            shard.add(CounterId::PatchesApplied, fp.patch_count());
+            if let Some(offset) = hit {
+                hits.push((pos, offset));
+            }
+        }
+    }
+    shard.wall = started.elapsed();
+    (hits, shard)
+}
+
+/// Packs a wide sweep's inputs for the compiled kernels: the
+/// chunk-contiguous input layout (`chunks[i * N + k]` = word `k` of input
+/// `i`), the per-sub-word valid-lane masks, and the per-sub-word pattern
+/// offsets (prefix sums of applied lanes).
+fn pack_wide<const N: usize>(
+    blocks: &[PatternBlock],
+    applied: &[usize],
+    width: usize,
+) -> (Vec<u64>, [u64; N], [u64; N]) {
+    debug_assert!(blocks.len() <= N && blocks.len() == applied.len());
+    let mut chunks = vec![0u64; width * N];
+    let mut masks = [0u64; N];
+    let mut prefix = [0u64; N];
+    for (k, b) in blocks.iter().enumerate() {
+        debug_assert_eq!(b.words.len(), width);
+        for (i, &w) in b.words.iter().enumerate() {
+            chunks[i * N + k] = w;
+        }
+        masks[k] = match applied[k] {
+            0 => 0,
+            64 => !0,
+            l => (1u64 << l) - 1,
+        };
+        if k + 1 < N {
+            prefix[k + 1] = prefix[k] + applied[k] as u64;
+        }
+    }
+    (chunks, masks, prefix)
 }
 
 impl BlockSim for ParFaultSimulator<'_> {
@@ -519,122 +599,35 @@ impl BlockSim for ParFaultSimulator<'_> {
         let lane_mask: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
         let started = Instant::now();
 
-        // Good machine once, shared read-only by every worker.
+        // Good machine once, shared read-only by every worker; each
+        // worker's faulty machine starts from it and evaluates only what
+        // each fault changes.
         let good_gate_evals = self.program.eval_good(&mut self.good, input_words);
 
-        let program = &self.program;
-        let fanout = &self.fanout;
-        let fallback = self.fallback.as_ref();
-        let patches = &self.patches;
-        let undetected = &self.undetected;
-        let good = &self.good;
-
-        // Per-shard results: detection hits plus the shard's private
-        // telemetry counters. Workers never touch the recorder — each
-        // fills its own ShardCounters (plain u64 adds), and the owning
-        // thread merges them lock-free after the scope joins.
-        let shard_results: Vec<ShardResult> =
-            if self.threads <= 1 || undetected.len() <= SERIAL_CUTOFF {
-                // Inline path on shard 0 — same program, no spawning.
-                let buf = &mut self.faulty_bufs[0];
-                buf.sync(good);
-                let mut hits = Vec::new();
-                let mut shard = ShardCounters::new();
-                let shard_started = Instant::now();
-                for (pos, &fi) in undetected.iter().enumerate() {
-                    let fp = &patches[fi as usize];
-                    let (gate_evals, diff) =
-                        eval::eval_fault(program, fanout, fallback, good, buf, input_words, fp);
-                    shard.add(CounterId::GateEvals, gate_evals);
-                    shard.add(CounterId::FaultEvals, 1);
-                    shard.add(CounterId::PatchesApplied, fp.patch_count());
-                    let diff = diff & lane_mask;
-                    if diff != 0 {
-                        hits.push((pos, diff.trailing_zeros() as u64));
-                    }
-                }
-                shard.wall = shard_started.elapsed();
-                vec![(hits, shard)]
-            } else {
-                let cursor = AtomicUsize::new(0);
-                let cursor = &cursor;
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .faulty_bufs
-                        .iter_mut()
-                        .map(|buf| {
-                            s.spawn(move || {
-                                let mut hits: Vec<(usize, u64)> = Vec::new();
-                                let mut shard = ShardCounters::new();
-                                let shard_started = Instant::now();
-                                buf.sync(good);
-                                loop {
-                                    let start = cursor.fetch_add(STEAL_CHUNK, Ordering::Relaxed);
-                                    if start >= undetected.len() {
-                                        break;
-                                    }
-                                    shard.add(CounterId::QueuePops, 1);
-                                    let end = (start + STEAL_CHUNK).min(undetected.len());
-                                    for pos in start..end {
-                                        let fp = &patches[undetected[pos] as usize];
-                                        let (gate_evals, diff) = eval::eval_fault(
-                                            program,
-                                            fanout,
-                                            fallback,
-                                            good,
-                                            buf,
-                                            input_words,
-                                            fp,
-                                        );
-                                        shard.add(CounterId::GateEvals, gate_evals);
-                                        shard.add(CounterId::FaultEvals, 1);
-                                        shard.add(CounterId::PatchesApplied, fp.patch_count());
-                                        let diff = diff & lane_mask;
-                                        if diff != 0 {
-                                            hits.push((pos, diff.trailing_zeros() as u64));
-                                        }
-                                    }
-                                }
-                                shard.wall = shard_started.elapsed();
-                                (hits, shard)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("fault-sim worker panicked"))
-                        .collect()
-                })
-            };
-
-        // Deterministic merge: workers own disjoint positions, and each
-        // hit's detection index depends only on (fault, block). Shard
-        // counters merge into the root span plus one detail child per
-        // shard index — the root totals are thread-count-independent.
-        let root = self.rec.root();
-        let mut newly = 0usize;
-        for (shard_idx, (hits, shard)) in shard_results.into_iter().enumerate() {
-            self.rec.attach_shard(root, shard_idx as u32, &shard);
-            for (pos, lane) in hits {
-                let fi = self.undetected[pos] as usize;
-                debug_assert!(self.detection[fi].is_none());
-                self.detection[fi] = Some(self.patterns_applied + lane);
-                newly += 1;
-            }
-        }
-        let detection = &self.detection;
-        self.undetected
-            .retain(|&fi| detection[fi as usize].is_none());
-
-        self.patterns_applied += lanes as u64;
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(root, CounterId::Blocks, 1);
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
-        self.rec
-            .add_to(root, CounterId::FaultsDropped, newly as u64);
-        self.rec.add_wall(root, started.elapsed());
+        let (program, fanout, fallback, good) = (
+            &self.program,
+            &self.fanout,
+            self.fallback.as_ref(),
+            &self.good,
+        );
+        let shard_results = simulate_faults(
+            &mut self.faulty_bufs,
+            &self.undetected,
+            &self.patches,
+            |buf| buf.sync(good),
+            |buf, fp| {
+                let (gate_evals, diff) =
+                    eval::eval_fault(program, fanout, fallback, good, buf, input_words, fp);
+                let diff = diff & lane_mask;
+                (
+                    gate_evals,
+                    (diff != 0).then(|| diff.trailing_zeros() as u64),
+                )
+            },
+        );
+        let newly = self.merge_hits(shard_results);
+        self.commit(self.patterns_applied + lanes as u64, newly as u64);
+        self.record_good(good_gate_evals, 1, started);
         newly
     }
 
@@ -667,67 +660,22 @@ impl BlockSim for ParFaultSimulator<'_> {
         }
     }
 
+    /// Erases detections at or past `boundary`, counts the surviving
+    /// drops, compacts the undetected work list, and advances the pattern
+    /// counter.
     fn commit_wide_block(&mut self, boundary: u64) {
-        self.commit_wide(boundary);
+        let base = self.patterns_applied;
+        debug_assert!(boundary >= base);
+        let mut dropped = 0u64;
+        for d in &mut self.detection {
+            match *d {
+                Some(p) if p >= boundary => *d = None,
+                Some(p) if p >= base => dropped += 1,
+                _ => {}
+            }
+        }
+        self.commit(boundary, dropped);
     }
-}
-
-/// Convenience: serial and parallel runs of the same
-/// [`PatternSource`](crate::source::PatternSource) stream, asserting (in
-/// debug builds) that they agree — detection indices, pattern counts, and
-/// the two sources'
-/// [`state_digest`](crate::source::PatternSource::state_digest)s.
-/// Returns the parallel report.
-///
-/// A source is stateful and consumed by its driver, so the caller
-/// supplies a *factory* that builds identically-configured instances;
-/// each engine drains its own copy and the digests prove the copies
-/// emitted the same stream. Used by `tests/source_equivalence.rs` and
-/// the corpus differential oracles, so fuzzing exercises every source
-/// through both engines.
-///
-/// [`state_digest`]: crate::source::PatternSource::state_digest
-pub fn run_source_checked<S: crate::source::PatternSource>(
-    netlist: &Netlist,
-    faults: &[Fault],
-    mut make_source: impl FnMut() -> S,
-    max_patterns: u64,
-    threads: usize,
-) -> FaultSimReport {
-    let mut source_a = make_source();
-    let serial =
-        FaultSimulator::new(netlist, faults.to_vec()).run_source(&mut source_a, max_patterns);
-    let mut source_b = make_source();
-    let par = ParFaultSimulator::with_threads(netlist, faults.to_vec(), threads)
-        .run_source(&mut source_b, max_patterns);
-    debug_assert_eq!(serial.detection(), par.detection());
-    debug_assert_eq!(serial.patterns_applied(), par.patterns_applied());
-    debug_assert_eq!(source_a.state_digest(), source_b.state_digest());
-    par
-}
-
-/// [`run_source_checked`] over the legacy random stream: draws one seed
-/// from `seed_stream` and cross-checks a seeded
-/// [`RandomWords`](crate::source::RandomWords) source through both
-/// engines (the words drawn are bit-identical to the pre-source
-/// `run_random` drivers'). Returns the parallel report.
-pub fn run_random_checked(
-    netlist: &Netlist,
-    faults: &[Fault],
-    seed_stream: &mut impl rand::Rng,
-    max_patterns: u64,
-    threads: usize,
-) -> FaultSimReport {
-    // Both engines must see identical RNG words; a generic Rng cannot be
-    // cloned, so draw a seed and derive two identical child sources.
-    let seed: u64 = seed_stream.gen();
-    run_source_checked(
-        netlist,
-        faults,
-        || crate::source::RandomWords::seeded(seed),
-        max_patterns,
-        threads,
-    )
 }
 
 #[cfg(test)]
@@ -752,8 +700,8 @@ mod tests {
     fn parallel_matches_serial_exhaustive() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let serial = FaultSimulator::new(&nl, faults.clone()).run_exhaustive();
-        for threads in [1, 2, 4] {
+        let serial = ParFaultSimulator::with_threads(&nl, faults.clone(), 1).run_exhaustive();
+        for threads in [2, 4] {
             let par =
                 ParFaultSimulator::with_threads(&nl, faults.clone(), threads).run_exhaustive();
             assert_eq!(serial.detection(), par.detection());
@@ -766,7 +714,8 @@ mod tests {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
         let mut rng = StdRng::seed_from_u64(7);
-        let serial = FaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 10_000);
+        let serial =
+            ParFaultSimulator::with_threads(&nl, faults.clone(), 1).run_random(&mut rng, 10_000);
         let mut rng = StdRng::seed_from_u64(7);
         let par = ParFaultSimulator::with_threads(&nl, faults, 3).run_random(&mut rng, 10_000);
         assert_eq!(serial.detection(), par.detection());
@@ -819,25 +768,13 @@ mod tests {
             "rewrite should be non-trivial"
         );
 
-        let base = FaultSimulator::new(&nl, faults.clone()).run_exhaustive();
-        let serial = FaultSimulator::with_optimized(&nl, &opt, faults.clone()).run_exhaustive();
-        assert_eq!(base.detection(), serial.detection());
-        assert_eq!(base.patterns_applied(), serial.patterns_applied());
+        let base = ParFaultSimulator::with_threads(&nl, faults.clone(), 1).run_exhaustive();
         for threads in [1, 3] {
             let par = ParFaultSimulator::with_optimized(&nl, &opt, faults.clone(), threads)
                 .run_exhaustive();
             assert_eq!(base.detection(), par.detection());
             assert_eq!(base.patterns_applied(), par.patterns_applied());
         }
-    }
-
-    #[test]
-    fn run_random_checked_self_checks() {
-        let nl = adder4();
-        let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
-        let mut rng = StdRng::seed_from_u64(11);
-        let report = run_random_checked(&nl, &faults, &mut rng, 50_000, 2);
-        assert_eq!(report.undetected().len(), 0);
     }
 
     #[test]

@@ -110,10 +110,10 @@ pub fn eval_faulty(
 /// The serial fault simulator running on the seed interpreter.
 ///
 /// Drop-in [`BlockSim`] peer of the compiled
-/// [`FaultSimulator`](crate::sim::FaultSimulator): same pattern-stream
-/// drivers, same detection rule (`patterns_applied + trailing_zeros(diff)`),
-/// different evaluation machinery. Reports from the two must be
-/// bit-identical on any netlist.
+/// [`ParFaultSimulator`](crate::par::ParFaultSimulator): same
+/// pattern-stream drivers, same detection rule (`patterns_applied +
+/// trailing_zeros(diff)`), different evaluation machinery. Reports from
+/// the two must be bit-identical on any netlist.
 #[derive(Debug)]
 pub struct ReferenceSimulator<'a> {
     netlist: &'a Netlist,
@@ -245,7 +245,7 @@ impl BlockSim for ReferenceSimulator<'_> {
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
-    use crate::sim::FaultSimulator;
+    use crate::par::ParFaultSimulator;
     use bibs_netlist::builder::NetlistBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -276,7 +276,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let reference = ReferenceSimulator::new(&nl, faults.clone()).run_random(&mut rng, 10_000);
         let mut rng = StdRng::seed_from_u64(17);
-        let compiled = FaultSimulator::new(&nl, faults).run_random(&mut rng, 10_000);
+        let compiled = ParFaultSimulator::with_threads(&nl, faults, 1).run_random(&mut rng, 10_000);
         assert_eq!(reference.detection(), compiled.detection());
         assert_eq!(reference.patterns_applied(), compiled.patterns_applied());
     }

@@ -1,12 +1,13 @@
-//! Parallel-pattern single-fault-propagation simulation with fault
-//! dropping.
+//! The block-level fault-simulation interface and its report.
 //!
-//! Two engines share this module's interface:
+//! Two engines implement [`BlockSim`]:
 //!
-//! * [`FaultSimulator`] — the serial reference engine defined here;
-//! * [`crate::par::ParFaultSimulator`] — the multi-threaded engine, which
-//!   produces **bit-identical** reports (see the `par` module docs for the
-//!   determinism argument).
+//! * [`crate::par::ParFaultSimulator`] — the compiled engine, serial at
+//!   one thread and sharded across workers above that, with
+//!   **bit-identical** reports for any thread count (see the `par` module
+//!   docs for the determinism argument);
+//! * [`crate::reference::ReferenceSimulator`] — the seed gate-walking
+//!   interpreter, kept as the equivalence oracle.
 //!
 //! The pattern-stream drivers ([`BlockSim::run_source`],
 //! [`BlockSim::run_random`], [`BlockSim::run_exhaustive`], …) are
@@ -18,15 +19,11 @@
 //! [`RandomWords`] source and draws exactly
 //! the words it always drew.
 
-use crate::eval;
 use crate::fault::Fault;
 use crate::source::{PatternBlock, PatternSource, RandomWords};
 use crate::stats::SimStats;
-use bibs_netlist::opt::OptimizedProgram;
-use bibs_netlist::{EvalProgram, Fanout, Netlist};
-use bibs_obs::{CounterId, Recorder, ShardCounters};
+use bibs_netlist::Netlist;
 use rand::Rng;
-use std::time::Instant;
 
 /// A typed engine-construction failure.
 ///
@@ -160,7 +157,8 @@ impl FaultSimReport {
 /// Implementors supply [`BlockSim::apply_block`]; the pattern-stream
 /// drivers are provided here **once** so that every engine draws the same
 /// RNG words, forms the same blocks and stops at the same point — the
-/// foundation of the serial/parallel equivalence guarantee.
+/// foundation of the equivalence guarantee across engines and thread
+/// counts.
 pub trait BlockSim {
     /// The simulated netlist.
     fn netlist(&self) -> &Netlist;
@@ -532,428 +530,11 @@ pub trait BlockSim {
     }
 }
 
-/// The serial fault simulator bound to one (combinational) netlist and
-/// one fault list, running on the compiled [`EvalProgram`].
-///
-/// Construction compiles the netlist once (or adopts a caller-supplied
-/// program via [`FaultSimulator::with_program`], or a validated
-/// optimizer rewrite via [`FaultSimulator::with_optimized`]) and
-/// pre-compiles every fault to its patch-point(s); each block is then one
-/// program run for the good machine plus one patched run per undetected
-/// fault — no driver scans, no scratch refills, no dynamic dispatch.
-///
-/// Patterns are applied in blocks of up to 64 (one per `u64` lane).
-/// Detected faults are dropped from subsequent blocks; the per-fault
-/// first-detection pattern index is recorded so coverage-vs-pattern-count
-/// curves (the paper's Table 2 rows 5–8) can be reconstructed exactly.
-/// Reports are bit-identical to the seed interpreter's
-/// ([`crate::reference::ReferenceSimulator`]), pinned by
-/// `tests/compiled_equivalence.rs`.
-#[derive(Debug)]
-pub struct FaultSimulator<'a> {
-    netlist: &'a Netlist,
-    program: EvalProgram,
-    /// The pre-rewrite program when `program` is optimizer-rewritten;
-    /// [`eval::FaultPatch::Fallback`] faults evaluate on it.
-    fallback: Option<EvalProgram>,
-    faults: Vec<Fault>,
-    /// `patches[i]` = compiled patch-point(s) of fault *i*.
-    patches: Vec<eval::FaultPatch>,
-    /// `detection[i]` = pattern index at which fault *i* was first
-    /// detected.
-    detection: Vec<Option<u64>>,
-    /// `program`'s fan-out index, which the event kernel schedules from.
-    fanout: Fanout,
-    good: Vec<u64>,
-    faulty: eval::FaultyMachine,
-    /// 64-lane words per sweep: 1 (scalar) or 4/8 (`with_lanes`).
-    lane_words: usize,
-    /// Stride-`lane_words` wide buffers; empty while scalar.
-    good_wide: Vec<u64>,
-    faulty_wide: Vec<u64>,
-    patterns_applied: u64,
-    rec: Recorder,
-}
-
-impl<'a> FaultSimulator<'a> {
-    /// Creates a simulator over `netlist` for the given fault list,
-    /// compiling the netlist to an [`EvalProgram`] (the compile time is
-    /// recorded as a `"compile"` child span, surfaced through
-    /// [`SimStats::compile_wall`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist is sequential (run on the combinational
-    /// equivalent — see the crate docs) or combinationally cyclic.
-    pub fn new(netlist: &'a Netlist, faults: Vec<Fault>) -> Self {
-        let mut rec = Recorder::new("fault-sim[serial]");
-        let program =
-            EvalProgram::compile_traced(netlist, &mut rec).expect("acyclic combinational netlist");
-        Self::with_program_recorder(netlist, program, faults, rec)
-    }
-
-    /// Creates a simulator around an already-compiled program for the
-    /// same netlist, so callers running many sessions on one circuit pay
-    /// the compile cost once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the netlist is sequential or if `program` was not
-    /// compiled from `netlist` (slot count is the cheap proxy checked).
-    pub fn with_program(netlist: &'a Netlist, program: EvalProgram, faults: Vec<Fault>) -> Self {
-        Self::with_program_recorder(netlist, program, faults, Recorder::new("fault-sim[serial]"))
-    }
-
-    /// Creates a simulator whose good machine runs the **optimized**
-    /// program of a validated [`OptimizedProgram`], while the fault list
-    /// stays defined on the original netlist.
-    ///
-    /// Each fault's patch is compiled against the original program, then
-    /// remapped through the rewrite
-    /// ([`OptimizedProgram::remap_patch`]); faults the rewrite cannot
-    /// express faithfully fall back to evaluating the original program
-    /// (sound because the two are equivalence-proven). Reports are
-    /// **bit-identical** to the unoptimized engines' — pinned by
-    /// `tests/opt_equivalence.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`FaultSimulator::with_program`].
-    pub fn with_optimized(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-    ) -> Self {
-        Self::with_optimized_recorder(netlist, opt, faults, Recorder::new("fault-sim[serial]"))
-    }
-
-    /// Fallible [`FaultSimulator::with_optimized`]: validates the
-    /// engine's fault-dispatch invariant (every `Fallback` fault patch
-    /// needs the original program at hand) and surfaces a violation as a
-    /// typed [`SimError`] instead of a mid-run abort.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::MissingFallback`] if an unmapped fault has no
-    /// fallback program — unreachable through this constructor today (it
-    /// always retains the original program) but kept as the single
-    /// validation point should fallback retention ever become optional.
-    pub fn try_with_optimized(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-    ) -> Result<Self, SimError> {
-        let sim = Self::with_optimized(netlist, opt, faults);
-        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())?;
-        Ok(sim)
-    }
-
-    /// [`FaultSimulator::with_optimized`] with a caller-supplied telemetry
-    /// recorder.
-    pub fn with_optimized_recorder(
-        netlist: &'a Netlist,
-        opt: &OptimizedProgram,
-        faults: Vec<Fault>,
-        rec: Recorder,
-    ) -> Self {
-        let mut sim = Self::with_program_recorder(netlist, opt.optimized().clone(), faults, rec);
-        sim.patches = eval::compile_fault_patches(opt.original(), Some(opt), &sim.faults);
-        sim.fallback = Some(opt.original().clone());
-        eval::validate_fault_patches(&sim.patches, sim.fallback.is_some())
-            .expect("optimized constructors retain the original program");
-        sim
-    }
-
-    /// [`FaultSimulator::with_program`] with a caller-supplied telemetry
-    /// recorder. Pass [`Recorder::disabled`] to measure the recorder's own
-    /// hot-loop overhead (the criterion `obs` bench does exactly that);
-    /// stats derived from a disabled recorder are all-zero.
-    pub fn with_program_recorder(
-        netlist: &'a Netlist,
-        program: EvalProgram,
-        faults: Vec<Fault>,
-        rec: Recorder,
-    ) -> Self {
-        assert_eq!(
-            netlist.dff_count(),
-            0,
-            "fault-simulate the combinational equivalent"
-        );
-        assert_eq!(
-            program.slot_count(),
-            netlist.net_count(),
-            "program/netlist mismatch"
-        );
-        let patches = eval::compile_fault_patches(&program, None, &faults);
-        let n = faults.len();
-        let good = program.new_values();
-        let faulty = eval::FaultyMachine::new(&program);
-        FaultSimulator {
-            netlist,
-            fanout: program.fanout(),
-            program,
-            fallback: None,
-            faults,
-            patches,
-            detection: vec![None; n],
-            good,
-            faulty,
-            lane_words: 1,
-            good_wide: Vec::new(),
-            faulty_wide: Vec::new(),
-            patterns_applied: 0,
-            rec,
-        }
-    }
-
-    /// Reconfigures the engine for wide sweeps: `lanes` is 64 (the scalar
-    /// default), 256, or 512 — 1, 4, or 8 words of 64 patterns per
-    /// good-machine evaluation. The stream drivers then evaluate the good
-    /// machine once per wide sweep and batch every live fault against it
-    /// (PPSFP); reports stay bit-identical to the 64-lane engine's
-    /// (pinned by `tests/lanes_equivalence.rs`). Widening records the
-    /// `lanes` telemetry counter; 64 leaves the scalar path — and its
-    /// telemetry — untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is not 64, 256, or 512.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        assert!(
-            matches!(lanes, 64 | 256 | 512),
-            "supported lane widths: 64, 256, 512"
-        );
-        self.lane_words = lanes / 64;
-        if self.lane_words > 1 {
-            let root = self.rec.root();
-            self.rec.add_to(root, CounterId::Lanes, lanes as u64);
-            self.good_wide = match self.lane_words {
-                4 => self.program.new_values_wide::<4>(),
-                _ => self.program.new_values_wide::<8>(),
-            };
-            self.faulty_wide = self.good_wide.clone();
-        } else {
-            self.good_wide = Vec::new();
-            self.faulty_wide = Vec::new();
-        }
-        self
-    }
-
-    /// The compiled program driving this simulator.
-    pub fn program(&self) -> &EvalProgram {
-        &self.program
-    }
-
-    /// The engine's telemetry span tree (root `"fault-sim[serial]"`):
-    /// per-block counters on the root, the compile cost as a `"compile"`
-    /// child, the single shard as a detail child. Graft it into a
-    /// pipeline-level recorder with [`Recorder::graft`].
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
-    }
-
-    /// The monomorphized wide sweep: pack the chunk-contiguous input
-    /// layout and per-sub-word valid-lane masks, evaluate the good
-    /// machine once, then batch every live fault against it.
-    fn apply_wide<const N: usize>(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
-        let width = self.netlist.input_width();
-        let started = Instant::now();
-        let (chunks, masks, prefix) = pack_wide::<N>(blocks, applied, width);
-
-        let good_gate_evals = self
-            .program
-            .eval_good_wide::<N>(&mut self.good_wide, &chunks);
-
-        let mut shard = ShardCounters::new();
-        let mut newly = 0usize;
-        for fi in 0..self.faults.len() {
-            if self.detection[fi].is_some() {
-                continue;
-            }
-            let gate_evals = eval::eval_fault_wide::<N>(
-                &self.program,
-                self.fallback.as_ref(),
-                &mut self.faulty_wide,
-                &chunks,
-                &self.patches[fi],
-            );
-            shard.add(CounterId::GateEvals, gate_evals);
-            shard.add(CounterId::FaultEvals, 1);
-            shard.add(CounterId::PatchesApplied, self.patches[fi].patch_count());
-            if let Some((k, diff)) = eval::output_diff_wide::<N>(
-                self.program.output_slots(),
-                &self.good_wide,
-                &self.faulty_wide,
-                &masks,
-            ) {
-                self.detection[fi] =
-                    Some(self.patterns_applied + prefix[k] + diff.trailing_zeros() as u64);
-                newly += 1;
-            }
-        }
-
-        let root = self.rec.root();
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(
-            root,
-            CounterId::Blocks,
-            applied.iter().filter(|&&l| l > 0).count() as u64,
-        );
-        self.rec.attach_shard(root, 0, &shard);
-        self.rec.add_wall(root, started.elapsed());
-        newly
-    }
-
-    /// Shared commit logic (see [`BlockSim::commit_wide_block`]): erase
-    /// detections at or past `boundary`, count the surviving drops, and
-    /// advance the pattern counter.
-    fn commit_wide(&mut self, boundary: u64) {
-        let base = self.patterns_applied;
-        debug_assert!(boundary >= base);
-        let mut dropped = 0u64;
-        for d in &mut self.detection {
-            match *d {
-                Some(p) if p >= boundary => *d = None,
-                Some(p) if p >= base => dropped += 1,
-                _ => {}
-            }
-        }
-        self.patterns_applied = boundary;
-        let root = self.rec.root();
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, boundary - base);
-        self.rec.add_to(root, CounterId::FaultsDropped, dropped);
-    }
-}
-
-/// Packs a wide sweep's inputs for the compiled kernels: the
-/// chunk-contiguous input layout (`chunks[i * N + k]` = word `k` of input
-/// `i`), the per-sub-word valid-lane masks, and the per-sub-word pattern
-/// offsets (prefix sums of applied lanes).
-pub(crate) fn pack_wide<const N: usize>(
-    blocks: &[PatternBlock],
-    applied: &[usize],
-    width: usize,
-) -> (Vec<u64>, [u64; N], [u64; N]) {
-    debug_assert!(blocks.len() <= N && blocks.len() == applied.len());
-    let mut chunks = vec![0u64; width * N];
-    let mut masks = [0u64; N];
-    let mut prefix = [0u64; N];
-    for (k, b) in blocks.iter().enumerate() {
-        debug_assert_eq!(b.words.len(), width);
-        for (i, &w) in b.words.iter().enumerate() {
-            chunks[i * N + k] = w;
-        }
-        masks[k] = match applied[k] {
-            0 => 0,
-            64 => !0,
-            l => (1u64 << l) - 1,
-        };
-        if k + 1 < N {
-            prefix[k + 1] = prefix[k] + applied[k] as u64;
-        }
-    }
-    (chunks, masks, prefix)
-}
-
-impl BlockSim for FaultSimulator<'_> {
-    fn netlist(&self) -> &Netlist {
-        self.netlist
-    }
-
-    fn apply_block(&mut self, input_words: &[u64], lanes: usize) -> usize {
-        assert!((1..=64).contains(&lanes), "1..=64 lanes per block");
-        assert_eq!(input_words.len(), self.netlist.input_width());
-        let lane_mask: u64 = if lanes == 64 { !0 } else { (1u64 << lanes) - 1 };
-        let started = Instant::now();
-
-        // Good machine, shared by every fault of the block; the faulty
-        // machine starts from it and evaluates only what each fault changes.
-        let good_gate_evals = self.program.eval_good(&mut self.good, input_words);
-        self.faulty.sync(&self.good);
-
-        // The fault loop counts into a private ShardCounters (plain u64
-        // adds, no span-stack lookups) that is attached once per block.
-        let mut shard = ShardCounters::new();
-        let mut newly = 0usize;
-        for fi in 0..self.faults.len() {
-            if self.detection[fi].is_some() {
-                continue;
-            }
-            let (gate_evals, diff) = eval::eval_fault(
-                &self.program,
-                &self.fanout,
-                self.fallback.as_ref(),
-                &self.good,
-                &mut self.faulty,
-                input_words,
-                &self.patches[fi],
-            );
-            shard.add(CounterId::GateEvals, gate_evals);
-            shard.add(CounterId::FaultEvals, 1);
-            shard.add(CounterId::PatchesApplied, self.patches[fi].patch_count());
-            let diff = diff & lane_mask;
-            if diff != 0 {
-                let lane = diff.trailing_zeros() as u64;
-                self.detection[fi] = Some(self.patterns_applied + lane);
-                newly += 1;
-            }
-        }
-        self.patterns_applied += lanes as u64;
-
-        let root = self.rec.root();
-        self.rec.add_to(root, CounterId::GateEvals, good_gate_evals);
-        self.rec.add_to(root, CounterId::GoodEvals, 1);
-        self.rec.add_to(root, CounterId::Blocks, 1);
-        self.rec
-            .add_to(root, CounterId::PatternsConsumed, lanes as u64);
-        self.rec
-            .add_to(root, CounterId::FaultsDropped, newly as u64);
-        self.rec.attach_shard(root, 0, &shard);
-        self.rec.add_wall(root, started.elapsed());
-        newly
-    }
-
-    fn detection(&self) -> &[Option<u64>] {
-        &self.detection
-    }
-
-    fn patterns_applied(&self) -> u64 {
-        self.patterns_applied
-    }
-
-    fn report(&self) -> FaultSimReport {
-        FaultSimReport {
-            faults: self.faults.clone(),
-            detection: self.detection.clone(),
-            patterns_applied: self.patterns_applied,
-            stats: SimStats::from_recorder(&self.rec, 1),
-        }
-    }
-
-    fn lane_words(&self) -> usize {
-        self.lane_words
-    }
-
-    fn apply_wide_block(&mut self, blocks: &[PatternBlock], applied: &[usize]) -> usize {
-        match self.lane_words {
-            4 => self.apply_wide::<4>(blocks, applied),
-            8 => self.apply_wide::<8>(blocks, applied),
-            _ => unreachable!("wide sweeps require with_lanes(256|512)"),
-        }
-    }
-
-    fn commit_wide_block(&mut self, boundary: u64) {
-        self.commit_wide(boundary);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultUniverse;
+    use crate::par::ParFaultSimulator;
     use bibs_netlist::builder::NetlistBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -968,11 +549,15 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn serial(nl: &Netlist, faults: Vec<Fault>) -> ParFaultSimulator<'_> {
+        ParFaultSimulator::with_threads(nl, faults, 1)
+    }
+
     #[test]
     fn adder_reaches_full_coverage_exhaustively() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = serial(&nl, faults.faults().to_vec());
         let report = sim.run_exhaustive();
         assert_eq!(report.undetected().len(), 0);
         assert!((report.coverage() - 1.0).abs() < f64::EPSILON);
@@ -982,7 +567,7 @@ mod tests {
     fn random_matches_exhaustive_detectability() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = serial(&nl, faults.faults().to_vec());
         let mut rng = StdRng::seed_from_u64(42);
         let report = sim.run_random(&mut rng, 100_000);
         assert_eq!(report.undetected().len(), 0);
@@ -992,7 +577,7 @@ mod tests {
     fn detection_indices_are_consistent() {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = serial(&nl, faults.faults().to_vec());
         let report = sim.run_exhaustive();
         for d in report.detection().iter().flatten() {
             assert!(*d < report.patterns_applied());
@@ -1013,7 +598,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().unwrap();
         let faults = vec![Fault::net_sa0(nl.outputs()[0])];
-        let mut sim = FaultSimulator::new(&nl, faults);
+        let mut sim = serial(&nl, faults);
         let report = sim.run_exhaustive();
         assert_eq!(report.detected_count(), 0);
         assert!(report.patterns_for_detectable_coverage(1.0).is_none());
@@ -1028,7 +613,7 @@ mod tests {
         b.output("y", y);
         let nl = b.finish().unwrap();
         let faults = vec![Fault::net_sa0(nl.outputs()[0])];
-        let mut sim = FaultSimulator::new(&nl, faults);
+        let mut sim = serial(&nl, faults);
         // Only the pattern (1,1) detects y/sa0.
         let report = sim.run_patterns(&[vec![false, false], vec![true, false], vec![true, true]]);
         assert_eq!(report.detection()[0], Some(2));
@@ -1039,7 +624,7 @@ mod tests {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
         let total = faults.faults().len();
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = serial(&nl, faults.faults().to_vec());
         let mut rng = StdRng::seed_from_u64(9);
         let report = sim.run_random_until(&mut rng, 0.5, 100_000);
         // At least half detected, and the engine did not keep going to
@@ -1055,7 +640,7 @@ mod tests {
         let nl = adder4();
         let faults = FaultUniverse::collapsed(&nl);
         let n = faults.faults().len() as u64;
-        let mut sim = FaultSimulator::new(&nl, faults.faults().to_vec());
+        let mut sim = serial(&nl, faults.faults().to_vec());
         let report = sim.run_exhaustive();
         let stats = report.stats();
         assert_eq!(stats.threads, 1);
@@ -1078,6 +663,6 @@ mod tests {
         let r = b.register(&[a]);
         b.output("o", r[0]);
         let nl = b.finish().unwrap();
-        let _ = FaultSimulator::new(&nl, Vec::new());
+        let _ = serial(&nl, Vec::new());
     }
 }

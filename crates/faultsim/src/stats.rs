@@ -14,10 +14,10 @@ use std::time::Duration;
 
 /// Counters collected by a fault-simulation engine over one run.
 ///
-/// The serial engine reports itself as a single shard; the parallel
-/// engine reports one entry per worker in
-/// [`SimStats::per_shard_fault_evals`], which makes load imbalance (e.g.
-/// from fault dropping) directly visible.
+/// The engine reports one entry per worker in
+/// [`SimStats::per_shard_fault_evals`] (a single shard at one thread),
+/// which makes load imbalance (e.g. from fault dropping) directly
+/// visible.
 ///
 /// Since the compiled-IR refactor the stats also expose the
 /// compile-vs-run split: [`SimStats::compile_wall`] is the one-time cost
@@ -27,8 +27,8 @@ use std::time::Duration;
 /// counts faulty-machine patch applications.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimStats {
-    /// Worker threads the engine was configured with (1 for the serial
-    /// engine).
+    /// Worker threads the engine was configured with (1 for the
+    /// reference interpreter).
     pub threads: usize,
     /// Pattern blocks simulated (each block carries up to 64 patterns).
     pub blocks: u64,

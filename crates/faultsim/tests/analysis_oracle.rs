@@ -17,7 +17,8 @@
 //!    that value in 64-way concrete simulation of random pinned blocks.
 
 use bibs_faultsim::fault::{FaultUniverse, StaticFaultAnalysis};
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::par::ParFaultSimulator;
+use bibs_faultsim::sim::BlockSim;
 use bibs_netlist::analysis::{ternary_analyze, PiAssumption};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::{EvalProgram, Netlist};
@@ -110,7 +111,7 @@ fn static_untestable_faults_are_never_detected_exhaustively() {
             continue;
         }
         let faults: Vec<_> = untestable.iter().map(|(f, _)| *f).collect();
-        let report = FaultSimulator::new(&nl, faults.clone()).run_exhaustive();
+        let report = ParFaultSimulator::with_threads(&nl, faults.clone(), 1).run_exhaustive();
         for (i, det) in report.detection().iter().enumerate() {
             assert!(
                 det.is_none(),
@@ -135,10 +136,12 @@ fn dominance_expansion_is_exact_on_exhaustive_streams() {
     for nl in corpus() {
         let program = EvalProgram::compile(&nl).expect("corpus is combinational");
         for universe in [FaultUniverse::full(&nl), FaultUniverse::collapsed(&nl)] {
-            let direct = FaultSimulator::new(&nl, universe.faults().to_vec()).run_exhaustive();
+            let direct = ParFaultSimulator::with_threads(&nl, universe.faults().to_vec(), 1)
+                .run_exhaustive();
             let dc = universe.dominance_collapsed(&program);
             merged_anywhere |= dc.rep_count() < dc.universe_len();
-            let reps = FaultSimulator::new(&nl, dc.representative_faults()).run_exhaustive();
+            let reps = ParFaultSimulator::with_threads(&nl, dc.representative_faults(), 1)
+                .run_exhaustive();
             let expanded = dc.expand_detection(reps.detection());
             assert_eq!(
                 expanded,

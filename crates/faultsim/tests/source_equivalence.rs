@@ -1,9 +1,9 @@
 //! Cross-source equivalence: every [`PatternSource`] kind must drive the
-//! serial and parallel engines to **bit-identical** reports — same
+//! engine to **bit-identical** reports at one thread and at several — same
 //! `detection()` vector, same `patterns_applied()` — for every thread
 //! count, and the sources themselves must end each run with the same
 //! stream digest (the engines pulled identical streams, not merely
-//! equivalent verdicts). This extends the serial/parallel contract of
+//! equivalent verdicts). This extends the thread-count contract of
 //! `par_equivalence.rs` from the legacy random stream to the whole
 //! source family, and pins the satellite guarantees: [`RandomWords`]
 //! reproduces the legacy `run_random*` entry points exactly (and
@@ -13,7 +13,7 @@
 
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::{
     LfsrSource, PatternSource, RandomWords, StoredSeedReplay, WeightedRandomSource,
 };
@@ -69,7 +69,7 @@ fn assert_sources_equivalent(netlist: &Netlist, seed: u64) {
             .find(|(k, _)| *k == kind)
             .unwrap()
             .1;
-        let serial = FaultSimulator::new(netlist, faults.clone())
+        let serial = ParFaultSimulator::with_threads(netlist, faults.clone(), 1)
             .run_source(&mut *serial_source, MAX_PATTERNS);
         for &threads in &THREADS {
             let mut par_source = make_sources(width, seed)
@@ -169,10 +169,11 @@ fn random_words_source_reproduces_legacy_run_random() {
         let nl = adder(6);
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
         let mut rng = StdRng::seed_from_u64(seed);
-        let legacy = FaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, MAX_PATTERNS);
+        let legacy = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
+            .run_random(&mut rng, MAX_PATTERNS);
         let mut source = RandomWords::seeded(seed);
-        let sourced =
-            FaultSimulator::new(&nl, faults.clone()).run_source(&mut source, MAX_PATTERNS);
+        let sourced = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
+            .run_source(&mut source, MAX_PATTERNS);
         assert_eq!(legacy.detection(), sourced.detection());
         assert_eq!(legacy.patterns_applied(), sourced.patterns_applied());
     }
@@ -248,7 +249,7 @@ proptest! {
         let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
         let width = nl.input_width();
         for (kind, mut serial_source) in make_sources(width, seed) {
-            let serial = FaultSimulator::new(&nl, faults.clone())
+            let serial = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
                 .run_source(&mut *serial_source, 1_024);
             for threads in [2usize, 4] {
                 let mut par_source = make_sources(width, seed)

@@ -43,7 +43,7 @@
 //! gate id), and evaluation is pure dataflow over that schedule, so every
 //! net word computed by [`EvalProgram::run`] is bit-identical to the
 //! classic interpreted walk for *any* valid topological order. The fault
-//! simulators' serial/parallel equivalence contract therefore carries over
+//! simulator's thread-count equivalence contract therefore carries over
 //! unchanged.
 //!
 //! # Example

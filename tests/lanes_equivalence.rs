@@ -1,5 +1,5 @@
 //! Acceptance for wide-word (u64×N lane) evaluation: every lane width
-//! (64, 256, 512), engine (serial and parallel at 1/2/4/8 threads) and
+//! (64, 256, 512), thread count (1/2/4/8; 1 is the serial case) and
 //! optimization setting must reproduce the scalar 64-lane baseline's
 //! `FaultSimReport` bit for bit on the same pattern stream — identical
 //! first-detection indices, identical `patterns_applied`, identical
@@ -15,7 +15,7 @@
 
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimReport, FaultSimulator};
+use bibs_faultsim::sim::{BlockSim, FaultSimReport};
 use bibs_faultsim::source::{ExhaustiveSource, PatternSource, RandomWords, StoredSeedReplay};
 use bibs_netlist::builder::NetlistBuilder;
 use bibs_netlist::opt::optimize;
@@ -44,8 +44,8 @@ fn assert_same(base: &FaultSimReport, got: &FaultSimReport, what: &str) {
     );
 }
 
-/// Runs the scalar serial engine as the baseline, then every
-/// (lane width × engine × thread count × optimization) combination on a
+/// Runs the scalar one-thread engine as the baseline, then every
+/// (lane width × thread count × optimization) combination on a
 /// fresh copy of the same stream and requires bit-identical reports.
 /// Returns the baseline report so callers can pin stop behavior.
 fn assert_lanes_invisible<S: PatternSource>(
@@ -62,7 +62,7 @@ fn assert_lanes_invisible<S: PatternSource>(
     let opt = optimize(&comb, &program)
         .unwrap_or_else(|e| panic!("{name}: translation validation failed: {e}"));
     let mut src = make_source();
-    let base = FaultSimulator::new(&comb, faults.clone()).run_source_with(
+    let base = ParFaultSimulator::with_threads(&comb, faults.clone(), 1).run_source_with(
         &mut src,
         max_patterns,
         plateau,
@@ -70,12 +70,7 @@ fn assert_lanes_invisible<S: PatternSource>(
     );
     for lanes in LANE_WIDTHS {
         let mut src = make_source();
-        let serial = FaultSimulator::new(&comb, faults.clone())
-            .with_lanes(lanes)
-            .run_source_with(&mut src, max_patterns, plateau, target);
-        assert_same(&base, &serial, &format!("{name}: serial @ {lanes} lanes"));
-        let mut src = make_source();
-        let serial_opt = FaultSimulator::with_optimized(&comb, &opt, faults.clone())
+        let serial_opt = ParFaultSimulator::with_optimized(&comb, &opt, faults.clone(), 1)
             .with_lanes(lanes)
             .run_source_with(&mut src, max_patterns, plateau, target);
         assert_same(
@@ -309,16 +304,17 @@ fn run_random_family_routes_through_wide_sweeps() {
     let seed = 0x1A4E_0500u64;
 
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = FaultSimulator::new(&nl, faults.clone()).run_random(&mut rng, 512);
+    let base = ParFaultSimulator::with_threads(&nl, faults.clone(), 1).run_random(&mut rng, 512);
     let mut rng = StdRng::seed_from_u64(seed);
-    let plateau_base =
-        FaultSimulator::new(&nl, faults.clone()).run_random_with_plateau(&mut rng, 4096, 96);
+    let plateau_base = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
+        .run_random_with_plateau(&mut rng, 4096, 96);
     let mut rng = StdRng::seed_from_u64(seed);
-    let until_base = FaultSimulator::new(&nl, faults.clone()).run_random_until(&mut rng, 0.9, 4096);
+    let until_base = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
+        .run_random_until(&mut rng, 0.9, 4096);
 
     for lanes in [256usize, 512] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let wide = FaultSimulator::new(&nl, faults.clone())
+        let wide = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
             .with_lanes(lanes)
             .run_random(&mut rng, 512);
         assert_same(&base, &wide, &format!("run_random @ {lanes} lanes"));
@@ -334,7 +330,7 @@ fn run_random_family_routes_through_wide_sweeps() {
         );
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let wide = FaultSimulator::new(&nl, faults.clone())
+        let wide = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
             .with_lanes(lanes)
             .run_random_until(&mut rng, 0.9, 4096);
         assert_same(
@@ -356,12 +352,16 @@ fn source_accounting_matches_scalar_on_non_stopping_runs() {
     let nl = redundant_circuit().combinational_equivalent();
     let faults = FaultUniverse::collapsed(&nl).faults().to_vec();
     let mut scalar_src = RandomWords::seeded(0x1A4E_0600);
-    let base =
-        FaultSimulator::new(&nl, faults.clone()).run_source_with(&mut scalar_src, 256, 256, 1.0);
+    let base = ParFaultSimulator::with_threads(&nl, faults.clone(), 1).run_source_with(
+        &mut scalar_src,
+        256,
+        256,
+        1.0,
+    );
     assert_eq!(base.patterns_applied(), 256, "run must exhaust its budget");
     for lanes in [256usize, 512] {
         let mut wide_src = RandomWords::seeded(0x1A4E_0600);
-        let wide = FaultSimulator::new(&nl, faults.clone())
+        let wide = ParFaultSimulator::with_threads(&nl, faults.clone(), 1)
             .with_lanes(lanes)
             .run_source_with(&mut wide_src, 256, 256, 1.0);
         assert_same(&base, &wide, &format!("accounting run @ {lanes} lanes"));

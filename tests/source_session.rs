@@ -17,7 +17,7 @@ use bibs_datapath::elab::elaborate_kernel;
 use bibs_datapath::filters::scaled;
 use bibs_faultsim::fault::FaultUniverse;
 use bibs_faultsim::par::ParFaultSimulator;
-use bibs_faultsim::sim::{BlockSim, FaultSimulator};
+use bibs_faultsim::sim::BlockSim;
 use bibs_faultsim::source::PatternSource;
 use bibs_netlist::Netlist;
 use std::collections::HashSet;
@@ -55,11 +55,13 @@ fn mintpg_source_reproduces_the_session_path_exactly() {
 
     // Pre-source path: collect the session stream, push it as patterns.
     let patterns = session_patterns(&tpg, &structure);
-    let via_patterns = FaultSimulator::new(&comb, faults.clone()).run_patterns(&patterns);
+    let via_patterns =
+        ParFaultSimulator::with_threads(&comb, faults.clone(), 1).run_patterns(&patterns);
 
     // Source path: the same hardware stream through the generic driver.
     let mut source = MinTpgSource::new(&tpg, &structure).expect("single-cone kernel");
-    let via_source = FaultSimulator::new(&comb, faults.clone()).run_source(&mut source, 1 << 20);
+    let via_source =
+        ParFaultSimulator::with_threads(&comb, faults.clone(), 1).run_source(&mut source, 1 << 20);
 
     assert_eq!(
         via_patterns.detection(),
@@ -91,7 +93,7 @@ fn table2_mintpg_source_matches_the_session_path_end_to_end() {
     let (comb, structure, tpg) = c5a2m_kernel();
     let faults = FaultUniverse::collapsed(&comb).faults().to_vec();
     let patterns = session_patterns(&tpg, &structure);
-    let mut expected: Vec<u64> = FaultSimulator::new(&comb, faults)
+    let mut expected: Vec<u64> = ParFaultSimulator::with_threads(&comb, faults, 1)
         .run_patterns(&patterns)
         .detection()
         .iter()
